@@ -8,10 +8,11 @@
 //!   monomorphized [`Protocol`] API vs the same cycle through
 //!   `Box<dyn SyncEngine>` (dyn dispatch + op/message codec);
 //! * `round/*` — a full simulator round at protocol level: generic
-//!   `Runner` vs `DynRunner` on identical workloads.
+//!   `Runner` vs `ShardedEngineRunner` at one object per node, on
+//!   identical workloads.
 
 use crdt_lattice::{ReplicaId, SizeModel, WireEncode};
-use crdt_sim::{DynRunner, NetworkConfig, Runner, Topology};
+use crdt_sim::{NetworkConfig, Runner, ShardedEngineRunner, Topology};
 use crdt_sync::{
     build_engine, BpRrDelta, DeltaMsg, OpBytes, Params, Protocol, ProtocolKind, WireEnvelope,
 };
@@ -118,11 +119,12 @@ fn bench_full_round(c: &mut Criterion) {
                 b.iter_batched(
                     || Topology::partial_mesh(n, 4),
                     |topo| {
-                        let mut r: DynRunner<GSet<u64>> = DynRunner::new(
+                        let mut r: ShardedEngineRunner<(), GSet<u64>> = ShardedEngineRunner::new(
                             ProtocolKind::BpRr,
                             topo,
                             NetworkConfig::reliable(1),
                             SizeModel::compact(),
+                            1,
                         );
                         let mut w = |node: ReplicaId, round: usize| {
                             vec![GSetOp::Add((round * n + node.index()) as u64)]

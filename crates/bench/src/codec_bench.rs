@@ -24,7 +24,7 @@
 use std::time::Instant;
 
 use crdt_lattice::{ReplicaId, SizeModel, WireEncode};
-use crdt_sim::{ShardedEngineRunner, Topology};
+use crdt_sim::{NetworkConfig, ShardedEngineRunner, Topology};
 use crdt_sync::{BatchEnvelope, Bytes, ProtocolKind, WireAccounting, WireEnvelope};
 use crdt_types::{GSet, GSetOp};
 
@@ -197,6 +197,7 @@ fn measure_runner(objects: usize) -> RunnerAllocRow {
     let mut r: R = ShardedEngineRunner::new(
         ProtocolKind::BpRr,
         Topology::full_mesh(nodes),
+        NetworkConfig::reliable(0),
         SizeModel::compact(),
         2,
     );

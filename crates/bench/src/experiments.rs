@@ -3,15 +3,15 @@
 //! reduced scale. EXPERIMENTS.md records paper-vs-measured for each.
 
 use crdt_lattice::SizeModel;
-use crdt_sim::{run_experiment, NetworkConfig, RunMetrics, ShardedDeltaRunner, Topology};
-use crdt_sync::{AckedDeltaSync, DeltaConfig, OpBased, Scuttlebutt, ScuttlebuttGc};
-use crdt_types::GSet as GSetCrdt;
+use crdt_sim::{run_experiment, NetworkConfig, RunMetrics, Topology};
+use crdt_sync::{AckedDeltaSync, OpBased, ProtocolKind, Scuttlebutt, ScuttlebuttGc};
 use crdt_types::{GCounter, GSet};
 use crdt_workloads::{
     GCounterWorkload, GMapCrdt, GMapWorkload, GSetWorkload, RetwisConfig, RetwisTrace,
-    RetwisWorkload, Timeline, UserId, Wall, TABLE1,
+    RetwisWorkload, TABLE1,
 };
 
+use crate::retwis_sharded::run_retwis;
 use crate::{
     find, fmt_bytes, fmt_ratio, print_table, ratio, run_suite, transmission_ratio_rows, Run, Scale,
     Suite, TRANSMISSION_HEADERS,
@@ -327,39 +327,14 @@ pub struct ZipfPoint {
     pub bprr: RunMetrics,
 }
 
-/// Run one delta configuration over a Retwis trace: three sharded
-/// runners (followers / walls / timelines), one per object family, with
-/// per-object δ-buffers — the granularity the paper deploys (one CRDT per
-/// object, 30 K objects).
-fn run_retwis_config(trace: &RetwisTrace, topo: &Topology, cfg: DeltaConfig) -> RunMetrics {
-    let slack = topo.diameter() * 4 + 16;
-    let mut followers: ShardedDeltaRunner<UserId, GSetCrdt<UserId>> =
-        ShardedDeltaRunner::new(topo.clone(), cfg, MODEL);
-    let mut walls: ShardedDeltaRunner<UserId, Wall> =
-        ShardedDeltaRunner::new(topo.clone(), cfg, MODEL);
-    let mut timelines: ShardedDeltaRunner<UserId, Timeline> =
-        ShardedDeltaRunner::new(topo.clone(), cfg, MODEL);
-
-    for round in &trace.rounds {
-        let f: Vec<_> = round.iter().map(|n| n.followers.clone()).collect();
-        let w: Vec<_> = round.iter().map(|n| n.walls.clone()).collect();
-        let t: Vec<_> = round.iter().map(|n| n.timelines.clone()).collect();
-        followers.step(&f);
-        walls.step(&w);
-        timelines.step(&t);
-    }
-    followers
-        .run_to_convergence(slack)
-        .expect("followers converge");
-    walls.run_to_convergence(slack).expect("walls converge");
-    timelines
-        .run_to_convergence(slack)
-        .expect("timelines converge");
-
-    followers
-        .into_metrics()
-        .merged(&walls.into_metrics())
-        .merged(&timelines.into_metrics())
+/// Run one protocol over a Retwis trace at the granularity the paper
+/// deploys (one CRDT per object, 30 K objects): [`run_retwis`]'s three
+/// family runners, merged.
+fn run_retwis_config(trace: &RetwisTrace, topo: &Topology, kind: ProtocolKind) -> RunMetrics {
+    let run = run_retwis(trace, kind, topo, 1, topo.diameter() * 4 + 16);
+    run.convergence_rounds
+        .expect("every Retwis object family converges");
+    run.metrics()
 }
 
 /// Run the §V-C Retwis sweep: classic vs BP+RR across Zipf coefficients,
@@ -382,8 +357,8 @@ pub fn run_retwis_sweep(scale: Scale) -> Vec<ZipfPoint> {
             let trace = RetwisTrace::generate(cfg, topo.len(), rounds);
             ZipfPoint {
                 zipf,
-                classic: run_retwis_config(&trace, &topo, DeltaConfig::CLASSIC),
-                bprr: run_retwis_config(&trace, &topo, DeltaConfig::BP_RR),
+                classic: run_retwis_config(&trace, &topo, ProtocolKind::Classic),
+                bprr: run_retwis_config(&trace, &topo, ProtocolKind::BpRr),
             }
         })
         .collect()

@@ -51,7 +51,9 @@
 #![warn(missing_docs)]
 
 use crdt_lattice::{SizeModel, WireEncode};
-use crdt_sim::{run_dyn_experiment, run_experiment, NetworkConfig, RunMetrics, Topology, Workload};
+use crdt_sim::{
+    run_engine_experiment, run_experiment, NetworkConfig, RunMetrics, Topology, Workload,
+};
 use crdt_sync::{
     BpDelta, BpRrDelta, ClassicDelta, DeltaCrdt, DeltaCrdtSmallLog, OpBased, Protocol,
     ProtocolKind, RrDelta, Scuttlebutt, ScuttlebuttGc, StateSync,
@@ -142,7 +144,8 @@ where
 }
 
 /// Run a **runtime-selected** set of protocols over identical replayed
-/// workloads, through the type-erased engine layer (`DynRunner`).
+/// workloads, through the type-erased engine layer
+/// (`ShardedEngineRunner` at one object per node).
 ///
 /// The erased path produces byte-identical accounting to the generic
 /// path (the engine-parity tests pin that), so [`run_suite`] and
@@ -158,8 +161,8 @@ pub fn run_dyn_suite<C, W>(
     make: impl Fn() -> W,
 ) -> Vec<Run>
 where
-    C: Crdt + WireEncode + 'static,
-    C::Op: WireEncode + 'static,
+    C: Crdt + WireEncode + Send + 'static,
+    C::Op: WireEncode + Send + Sync + 'static,
     W: Workload<C>,
 {
     let net = NetworkConfig::reliable(net_seed);
@@ -169,7 +172,7 @@ where
             let mut w = make();
             Run {
                 name: kind.name(),
-                metrics: run_dyn_experiment::<C>(
+                metrics: run_engine_experiment::<C>(
                     kind,
                     topology.clone(),
                     net,

@@ -22,7 +22,7 @@
 //! ride along in the JSON as artifacts and are never gated.
 
 use crdt_lattice::SizeModel;
-use crdt_sim::{RunMetrics, ShardedEngineRunner, Topology};
+use crdt_sim::{NetworkConfig, RunMetrics, ShardedEngineRunner, Topology};
 use crdt_sync::ProtocolKind;
 use crdt_types::GSet;
 use crdt_workloads::{RetwisConfig, RetwisTrace, Timeline, UserId, Wall};
@@ -80,71 +80,69 @@ pub struct ShardedRow {
     pub converged: bool,
 }
 
-/// `ops[round][node]` keyed operations for one object family `C`.
-type FamilyTrace<C> = Vec<Vec<Vec<(UserId, <C as crdt_types::Crdt>::Op)>>>;
-
-/// The trace regrouped by object family: `ops[round][node]` per family —
-/// built once per trace and replayed by every `(protocol, threads)`
-/// point.
-struct FamilyOps {
-    followers: FamilyTrace<GSet<UserId>>,
-    walls: FamilyTrace<Wall>,
-    timelines: FamilyTrace<Timeline>,
+/// One Retwis deployment after its trace has been replayed and driven
+/// to convergence: three family runners (follower sets / walls /
+/// timelines) over one shared trace. Objects never interact, so this is
+/// exactly equivalent to one deployment hosting all of them, and the
+/// metrics add up.
+#[derive(Debug)]
+pub struct RetwisRun {
+    /// Per-user follower sets.
+    pub followers: ShardedEngineRunner<UserId, GSet<UserId>>,
+    /// Per-user walls.
+    pub walls: ShardedEngineRunner<UserId, Wall>,
+    /// Per-user timelines.
+    pub timelines: ShardedEngineRunner<UserId, Timeline>,
+    /// Extra idle rounds until the slowest family converged; `None` if
+    /// any family did not within the slack budget.
+    pub convergence_rounds: Option<usize>,
 }
 
-impl FamilyOps {
-    fn split(trace: &RetwisTrace) -> Self {
-        FamilyOps {
-            followers: trace
-                .rounds
-                .iter()
-                .map(|round| round.iter().map(|n| n.followers.clone()).collect())
-                .collect(),
-            walls: trace
-                .rounds
-                .iter()
-                .map(|round| round.iter().map(|n| n.walls.clone()).collect())
-                .collect(),
-            timelines: trace
-                .rounds
-                .iter()
-                .map(|round| round.iter().map(|n| n.timelines.clone()).collect())
-                .collect(),
-        }
+impl RetwisRun {
+    /// The three families' metrics, merged round by round.
+    pub fn metrics(&self) -> RunMetrics {
+        self.followers
+            .metrics()
+            .merged(self.walls.metrics())
+            .merged(self.timelines.metrics())
     }
 }
 
-/// Replay the regrouped trace under `kind` with `threads` workers;
-/// returns the merged family metrics, objects per node, and convergence.
-fn run_point(
+/// Replay `trace` under `kind` at per-object granularity (one engine per
+/// object, the paper's §V-C deployment) with `threads` workers, then
+/// synchronize idle rounds until every family converges or `slack`
+/// rounds have passed.
+pub fn run_retwis(
+    trace: &RetwisTrace,
     kind: ProtocolKind,
-    ops: &FamilyOps,
     topo: &Topology,
     threads: usize,
-) -> (RunMetrics, usize, bool) {
+    slack: usize,
+) -> RetwisRun {
     const MODEL: SizeModel = SizeModel::compact();
-    let slack = topo.diameter() * 4 + 16;
-    let mut followers: ShardedEngineRunner<UserId, GSet<UserId>> =
-        ShardedEngineRunner::new(kind, topo.clone(), MODEL, threads);
-    let mut walls: ShardedEngineRunner<UserId, Wall> =
-        ShardedEngineRunner::new(kind, topo.clone(), MODEL, threads);
-    let mut timelines: ShardedEngineRunner<UserId, Timeline> =
-        ShardedEngineRunner::new(kind, topo.clone(), MODEL, threads);
-
-    followers.run_rounds(&ops.followers);
-    walls.run_rounds(&ops.walls);
-    timelines.run_rounds(&ops.timelines);
-    let converged = followers.run_to_convergence(slack).is_some()
-        & walls.run_to_convergence(slack).is_some()
-        & timelines.run_to_convergence(slack).is_some();
-    let node0 = crdt_lattice::ReplicaId(0);
-    let objects =
-        followers.objects_at(node0) + walls.objects_at(node0) + timelines.objects_at(node0);
-    let metrics = followers
-        .into_metrics()
-        .merged(&walls.into_metrics())
-        .merged(&timelines.into_metrics());
-    (metrics, objects, converged)
+    let net = NetworkConfig::reliable(0);
+    let mut run = RetwisRun {
+        followers: ShardedEngineRunner::new(kind, topo.clone(), net, MODEL, threads),
+        walls: ShardedEngineRunner::new(kind, topo.clone(), net, MODEL, threads),
+        timelines: ShardedEngineRunner::new(kind, topo.clone(), net, MODEL, threads),
+        convergence_rounds: None,
+    };
+    for round in &trace.rounds {
+        let f: Vec<_> = round.iter().map(|n| n.followers.clone()).collect();
+        let w: Vec<_> = round.iter().map(|n| n.walls.clone()).collect();
+        let t: Vec<_> = round.iter().map(|n| n.timelines.clone()).collect();
+        run.followers.step(&f);
+        run.walls.step(&w);
+        run.timelines.step(&t);
+    }
+    // Every family runs out its own tail, converged or not.
+    let extras = [
+        run.followers.run_to_convergence(slack),
+        run.walls.run_to_convergence(slack),
+        run.timelines.run_to_convergence(slack),
+    ];
+    run.convergence_rounds = extras.into_iter().try_fold(0, |max, e| Some(max.max(e?)));
+    run
 }
 
 /// Run the sweep: `kinds` × `zipfs` × `threads_list` over one
@@ -171,11 +169,16 @@ pub fn run_retwis_sharded(
     let mut rows = Vec::new();
     for &zipf in zipfs {
         let trace = RetwisTrace::generate(RetwisConfig { zipf, ..cfg_base }, topo.len(), rounds);
-        let ops = FamilyOps::split(&trace);
         for &kind in kinds {
             let mut group = Vec::with_capacity(threads_list.len());
             for &threads in threads_list {
-                let (metrics, objects, converged) = run_point(kind, &ops, &topo, threads);
+                let run = run_retwis(&trace, kind, &topo, threads, topo.diameter() * 4 + 16);
+                let node0 = crdt_lattice::ReplicaId(0);
+                let objects = run.followers.objects_at(node0)
+                    + run.walls.objects_at(node0)
+                    + run.timelines.objects_at(node0);
+                let converged = run.convergence_rounds.is_some();
+                let metrics = run.metrics();
                 let critical = metrics.total_critical_path_nanos().max(1);
                 group.push(ShardedRow {
                     protocol: kind,

@@ -77,15 +77,16 @@ pub fn run_scenario_suite(
         for &kind in kinds {
             // A fresh deterministic workload per protocol: every kind
             // sees the identical operation stream.
-            let mut workload = |node: ReplicaId, round: usize| -> Vec<GSetOp<u64>> {
-                vec![GSetOp::Add((round * 64 + node.index()) as u64)]
+            let mut workload = |node: ReplicaId, round: usize| {
+                vec![((), GSetOp::Add((round * 64 + node.index()) as u64))]
             };
-            let outcome = run_scenario::<GSet<u64>>(
+            let outcome = run_scenario::<(), GSet<u64>>(
                 kind,
                 Topology::partial_mesh(n, 4),
                 &schedule,
                 NetworkConfig::reliable(1),
                 SizeModel::compact(),
+                1,
                 &mut workload,
             );
             rows.push(vec![

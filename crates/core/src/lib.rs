@@ -41,8 +41,8 @@
 //! `WireAccounting::encoded_bytes` is a measurement of real bytes, not a
 //! model. Use [`Protocol`] directly for monomorphized experiments, the
 //! engine layer for runtime-configurable systems (`crdt-sim`'s
-//! `DynRunner`, `delta-store`); ARCHITECTURE.md has the full decision
-//! guide.
+//! `ShardedEngineRunner`, `delta-store`); ARCHITECTURE.md has the full
+//! decision guide.
 //!
 //! ```
 //! use crdt_lattice::ReplicaId;

@@ -44,9 +44,10 @@ pub struct Params {
     /// Cap on how many neighbors one synchronization step addresses.
     ///
     /// `None` (the default) synchronizes with every neighbor, the paper's
-    /// experiment loop. Drivers that support it (the engine-layer
-    /// `DynRunner`) rotate deterministically through the neighbor list so
-    /// a capped replica still addresses everyone over successive rounds.
+    /// experiment loop. Drivers that support it (`crdt-sim`'s
+    /// `ShardedEngineRunner`) rotate deterministically through the
+    /// neighbor list so a capped replica still addresses everyone over
+    /// successive rounds.
     ///
     /// Meant for anti-entropy protocols (Scuttlebutt keeps its key-delta
     /// store, so partial gossip loses nothing). The Algorithm-1 delta

@@ -97,9 +97,9 @@ fn determinism_in_scope(rel: &str, scope: Scope) -> bool {
         "crates/workloads/src/",
     ];
     const DENY_FILES: &[&str] = &[
-        // sim: accounting + fault model are deterministic; the thread
-        // runners (runner, dyn_runner, parallel, sharded*) time their
-        // own wall-clock columns and are exempt.
+        // sim: accounting + fault model are deterministic; the two
+        // drivers (runner, sharded_engine) time their own wall-clock
+        // columns and are exempt.
         "crates/sim/src/lib.rs",
         "crates/sim/src/metrics.rs",
         "crates/sim/src/network.rs",

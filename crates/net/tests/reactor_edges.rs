@@ -7,7 +7,8 @@
 //! * **Half-open connections** — a dialer that never completes a frame
 //!   is pruned by the readiness loop; one that has spoken is kept.
 //! * **Reconnect storms** — clients dialing and dropping in a loop must
-//!   not leak fds or wedge the node.
+//!   not leak fds or wedge the node (`tests/fd_leak.rs`: counting the
+//!   process-global fd table needs a process of its own).
 //! * **Scheduled compaction** — the timer wheel's `compact()` holds
 //!   synchronization metadata flat under churn on a live node.
 
@@ -141,60 +142,6 @@ fn half_open_connections_are_pruned() {
     let report = client.probe().unwrap();
     assert_eq!(report.node, A);
     drop(half_open);
-    node.shutdown_untyped();
-}
-
-/// Count this process's open file descriptors.
-fn open_fds() -> usize {
-    std::fs::read_dir("/proc/self/fd").map_or(0, |d| d.count())
-}
-
-/// N clients dialing, speaking once, and dropping in a tight loop: the
-/// node must shed every dead connection (no fd leak, no wedge).
-#[test]
-fn reconnect_storm_leaks_no_fds_and_does_not_wedge() {
-    const STORM: usize = 150;
-    let node: Node = NodeHandle::spawn(A, cfg(ProtocolKind::BpRr)).unwrap();
-    node.update(1, &GSetOp::Add(7));
-
-    // Warm up one connect/drop cycle so lazily allocated fds (thread
-    // stacks, epoll-free poll plumbing) are in place before measuring.
-    {
-        let mut c: NetClient<u64, GSet<u64>> =
-            NetClient::connect(node.addr(), crdt_net::framing::DEFAULT_MAX_FRAME_BYTES).unwrap();
-        c.probe().unwrap();
-    }
-    let fds_before = open_fds();
-
-    for i in 0..STORM {
-        let mut c: NetClient<u64, GSet<u64>> =
-            NetClient::connect(node.addr(), crdt_net::framing::DEFAULT_MAX_FRAME_BYTES).unwrap();
-        if i % 3 == 0 {
-            assert_eq!(c.get(1).unwrap(), Some(GSet::from_iter([7u64])));
-        } else {
-            c.probe().unwrap();
-        }
-        // Dropped here: the server sees EOF and must prune.
-    }
-
-    // Every storm connection is shed…
-    assert!(
-        eventually(Duration::from_secs(5), || node.live_connections() == 0),
-        "storm connections were never pruned: {} still live",
-        node.live_connections()
-    );
-    // …and the fd table is back where it started (generous slack for
-    // allocator/runtime noise — a leak of 150 sockets dwarfs it).
-    let fds_after = open_fds();
-    assert!(
-        fds_after <= fds_before + 10,
-        "fd leak under reconnect storm: {fds_before} -> {fds_after}"
-    );
-
-    // Still serving after the storm.
-    let mut c: NetClient<u64, GSet<u64>> =
-        NetClient::connect(node.addr(), crdt_net::framing::DEFAULT_MAX_FRAME_BYTES).unwrap();
-    assert_eq!(c.probe().unwrap().node, A);
     node.shutdown_untyped();
 }
 

@@ -9,20 +9,25 @@
 //! * [`Network`] — a message fabric with seeded duplication/reordering
 //!   (the §II channel model) and optional drops for the acked variant;
 //! * [`Runner`] — drives one [`crdt_sync::Protocol`] per node through
-//!   rounds of "update, synchronize, deliver" and collects
+//!   rounds of "update, synchronize, deliver" over in-process values: the
+//!   monomorphized, zero-codec reference the parity tests compare
+//!   against;
+//! * [`ShardedEngineRunner`] — the one type-erased driver: per-object
+//!   engines of any runtime-selected [`crdt_sync::ProtocolKind`] (one
+//!   object per node at `K = ()`, the paper's 30 K-object Retwis
+//!   granularity at `K = UserId`), frames carried by [`Network`] as
+//!   per-destination [`crdt_sync::BatchEnvelope`]s so wire frames per
+//!   round are O(links), not O(objects), thread-parallel phases, and
+//!   every scenario event at node level; both collect
 //! * [`RunMetrics`] — transmission in elements and payload/metadata bytes,
 //!   per-round memory snapshots, and protocol CPU time: exactly the
 //!   quantities of Figs. 1 and 7–12;
-//! * [`ShardedEngineRunner`] — the unified sharded runner: per-object
-//!   engines of any [`crdt_sync::ProtocolKind`] (the paper's 30 K-object
-//!   Retwis granularity), thread-parallel phases, scenario events at
-//!   node level, and per-destination [`crdt_sync::BatchEnvelope`]
-//!   batching so wire frames per round are O(links), not O(objects);
 //! * [`ScenarioSchedule`] / [`run_scenario`] — fault & churn scenarios
 //!   beyond the paper's static setup: partitions that heal, crashes with
 //!   and without durable state, joins with bootstrap, flapping links —
-//!   driven on the clock against [`DynRunner`], measuring convergence
-//!   rounds, bytes to re-converge, repair traffic and staleness windows.
+//!   driven on the clock against [`ShardedEngineRunner`], measuring
+//!   convergence rounds, bytes to re-converge, repair traffic and
+//!   staleness windows.
 //!
 //! Every quantity the paper reports is a *protocol* property, not a
 //! network property, so a deterministic simulation reproduces the shapes
@@ -33,22 +38,19 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod dyn_runner;
 mod metrics;
 mod network;
 mod parallel;
 mod runner;
 mod scenario;
-mod sharded;
 mod sharded_engine;
 mod topology;
 
-pub use dyn_runner::{run_dyn_experiment, DynRunner};
 pub use metrics::{RoundMetrics, RunMetrics};
 pub use network::{Envelope, LinkFault, Network, NetworkConfig};
-pub use parallel::ParallelRunner;
 pub use runner::{run_experiment, Runner, Workload};
 pub use scenario::{run_scenario, ScenarioEvent, ScenarioOutcome, ScenarioSchedule};
-pub use sharded::{KeyedOp, ShardedDeltaRunner};
-pub use sharded_engine::{register_runner_metrics, ShardedEngineRunner};
+pub use sharded_engine::{
+    register_runner_metrics, run_engine_experiment, KeyedOp, ShardedEngineRunner,
+};
 pub use topology::{DynamicTopology, Topology};

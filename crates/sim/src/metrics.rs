@@ -6,8 +6,8 @@ use crdt_sync::MemoryUsage;
 
 /// Per-worker phase timings → `(summed work, critical path)`: the sum
 /// over all per-node entries, and the busiest thread-chunk's sum under
-/// contiguous `threads`-way chunking (the chunking both parallel runners
-/// use).
+/// contiguous `threads`-way chunking (the chunking
+/// [`crate::parallel::par_map_chunked_ctx`] uses).
 pub(crate) fn phase_split(nanos: &[u64], threads: usize) -> (u64, u64) {
     let chunk = nanos.len().div_ceil(threads).max(1);
     let critical = nanos
@@ -281,6 +281,15 @@ mod tests {
             critical_path_nanos: 4,
             workload_nanos: 2,
         }
+    }
+
+    #[test]
+    fn phase_split_sums_work_and_finds_the_busiest_chunk() {
+        // 4 nodes on 2 threads → chunks [7, 1] and [4, 4].
+        assert_eq!(phase_split(&[7, 1, 4, 4], 2), (16, 8));
+        // One thread: critical path is all the work.
+        assert_eq!(phase_split(&[7, 1, 4, 4], 1), (16, 16));
+        assert_eq!(phase_split(&[], 4), (0, 0));
     }
 
     #[test]

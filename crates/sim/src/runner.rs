@@ -232,18 +232,32 @@ impl<C: Crdt, P: Protocol<C>> Runner<C, P> {
     }
 
     /// After the workload ends, keep synchronizing (no new ops) until all
-    /// replicas agree, up to `max_rounds`. Returns the number of extra
-    /// rounds taken, or `None` if convergence was not reached.
+    /// live replicas agree: at most `max_rounds` idle rounds, `Some(extra)`
+    /// iff they agree after `extra ≤ max_rounds` of them.
     pub fn run_to_convergence(&mut self, max_rounds: usize) -> Option<usize> {
         let mut idle = |_: ReplicaId, _: usize| -> Vec<C::Op> { Vec::new() };
-        for extra in 0..=max_rounds {
-            if self.converged() {
-                return Some(extra);
-            }
-            self.step(&mut idle);
-        }
-        self.converged().then_some(max_rounds)
+        drive_to_convergence(self, max_rounds, Self::converged, |r| r.step(&mut idle))
     }
+}
+
+/// The one `run_to_convergence` contract, shared by [`Runner`] and
+/// [`crate::ShardedEngineRunner`]: execute at most `max_rounds` idle
+/// steps, stopping at the first agreement; `Some(extra)` iff the replicas
+/// agree after `extra ≤ max_rounds` steps, `None` if they still disagree
+/// once the budget is spent.
+pub(crate) fn drive_to_convergence<R>(
+    runner: &mut R,
+    max_rounds: usize,
+    converged: impl Fn(&R) -> bool,
+    mut idle_step: impl FnMut(&mut R),
+) -> Option<usize> {
+    for extra in 0..max_rounds {
+        if converged(runner) {
+            return Some(extra);
+        }
+        idle_step(runner);
+    }
+    converged(runner).then_some(max_rounds)
 }
 
 /// Convenience: run `protocol` over `topology` with `workload` for
@@ -274,7 +288,9 @@ pub fn run_experiment<C: Crdt, P: Protocol<C>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crdt_sync::{BpRrDelta, ClassicDelta, OpBased, Scuttlebutt, ScuttlebuttGc, StateSync};
+    use crdt_sync::{
+        BpRrDelta, ClassicDelta, OpBased, ProtocolKind, Scuttlebutt, ScuttlebuttGc, StateSync,
+    };
     use crdt_types::{GSet, GSetOp};
 
     /// Each node adds one globally unique element per round (the paper's
@@ -405,6 +421,20 @@ mod tests {
                 runner.node(ReplicaId(0)).state()
             );
         }
+    }
+
+    /// The generic runner and [`ProtocolKind`] expose the same protocol
+    /// naming, so experiment tables line up across the two drivers.
+    #[test]
+    fn names_agree_with_protocol_kind() {
+        assert_eq!(
+            Runner::<GSet<u64>, BpRrDelta<GSet<u64>>>::protocol_name(),
+            ProtocolKind::BpRr.name()
+        );
+        assert_eq!(
+            Runner::<GSet<u64>, ClassicDelta<GSet<u64>>>::protocol_name(),
+            ProtocolKind::Classic.name()
+        );
     }
 
     #[test]

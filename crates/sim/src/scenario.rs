@@ -1,5 +1,5 @@
 //! Fault & churn scenarios: time-indexed schedules of membership and
-//! network events, driven against the engine-layer runner.
+//! network events, driven against [`ShardedEngineRunner`].
 //!
 //! The paper evaluates a fixed 15-node topology over a network that may
 //! "drop, duplicate, and reorder" uniformly. Production systems face a
@@ -12,10 +12,11 @@
 //!   range-based builders and four built-in scenarios
 //!   (`partition_heal`, `churn`, `flapping_link`, `rolling_restart`);
 //! * [`run_scenario`] — drives any [`crdt_sync::ProtocolKind`] through a
-//!   schedule on a [`DynRunner`] and reports a [`ScenarioOutcome`]:
-//!   convergence rounds, bytes to re-converge, repair traffic, and
-//!   staleness windows — the quantities `crdt-bench`'s `scenarios`
-//!   experiment family records in `BENCH_scenarios.json`.
+//!   schedule, at any object granularity and thread count, and reports
+//!   a [`ScenarioOutcome`]: convergence rounds, bytes to re-converge,
+//!   repair traffic, and staleness windows — the quantities
+//!   `crdt-bench`'s `scenarios` experiment family records in
+//!   `BENCH_scenarios.json`.
 //!
 //! **Clock semantics.** Events scheduled at round `r` are applied *before*
 //! round `r` executes (a partition scheduled at 5 blocks round 5's
@@ -32,16 +33,15 @@
 //! charged to the outcome's repair accounting, so the BP/RR ablation
 //! extends honestly into fault regimes the paper never measured.
 
-use crdt_lattice::{ReplicaId, SizeModel, WireEncode};
+use crdt_lattice::{ReplicaId, SizeModel, Sizeable, WireEncode};
 use crdt_sync::ProtocolKind;
 use crdt_types::Crdt;
 
 use std::collections::BTreeMap;
 use std::ops::Range;
 
-use crate::dyn_runner::DynRunner;
 use crate::network::{LinkFault, NetworkConfig};
-use crate::runner::Workload;
+use crate::sharded_engine::{KeyedOp, ShardedEngineRunner};
 use crate::topology::Topology;
 
 /// One fault or membership transition.
@@ -272,95 +272,48 @@ pub struct ScenarioOutcome {
     pub converged: bool,
 }
 
-/// Apply one event to the runner, with the repair policy described in the
-/// module docs.
-fn apply_event<C>(runner: &mut DynRunner<C>, event: &ScenarioEvent, durability: &mut Vec<bool>)
-where
-    C: Crdt + WireEncode + 'static,
-    C::Op: WireEncode + 'static,
-{
-    let kind = runner.kind();
-    match event {
-        ScenarioEvent::Partition { groups } => runner.set_partition(groups),
-        ScenarioEvent::Heal => runner.heal_partition(),
-        ScenarioEvent::Crash { node, durable } => {
-            durability[*node] = *durable;
-            runner.crash_node(ReplicaId::from(*node), *durable);
-        }
-        ScenarioEvent::Restart { node } => {
-            let id = ReplicaId::from(*node);
-            runner.restart_node(id, None);
-            // Durable restart of a loss-recovering protocol needs no
-            // help; everything else is stitched back via a live peer.
-            if durability[*node] && kind.recovers_from_loss() {
-                return;
-            }
-            if let Some(peer) = repair_peer(runner, id) {
-                runner.repair_pair(id, peer);
-            }
-        }
-        ScenarioEvent::Join { links, bootstrap } => {
-            let links: Vec<ReplicaId> = links.iter().map(|&l| ReplicaId::from(l)).collect();
-            let new = runner.join_node(&links, Some(ReplicaId::from(*bootstrap)));
-            durability.resize(new.index() + 1, true);
-        }
-        ScenarioEvent::LinkFault { a, b, fault } => {
-            runner.set_edge_fault(ReplicaId::from(*a), ReplicaId::from(*b), *fault);
-        }
-        ScenarioEvent::LinkHeal { a, b } => {
-            let (a, b) = (ReplicaId::from(*a), ReplicaId::from(*b));
-            runner.clear_edge_fault(a, b);
-            if !kind.recovers_from_loss() {
-                runner.repair_pair(a, b);
-            }
-        }
-    }
-}
-
-/// A live peer for `node` to repair against: its first reachable
-/// neighbor, else the first other live node.
-fn repair_peer<C>(runner: &DynRunner<C>, node: ReplicaId) -> Option<ReplicaId>
-where
-    C: Crdt + WireEncode + 'static,
-    C::Op: WireEncode + 'static,
-{
-    let m = runner.membership();
-    m.reachable_neighbors(node)
-        .into_iter()
-        .next()
-        .or_else(|| m.alive_nodes().into_iter().find(|&p| p != node))
-}
-
-/// Drive `kind` over `topology` through `schedule`, then to convergence.
+/// Drive `kind` over `topology` through `schedule`, then to convergence,
+/// at whatever granularity `K` names (`()` for one object per node) on
+/// `threads` workers.
 ///
-/// The workload keeps producing operations for every **live** node during
-/// the whole schedule (crashed nodes execute nothing); after the last
-/// round, boundary events fire and the runner synchronizes idle rounds
-/// until all live replicas agree, up to a slack budget derived from the
-/// topology diameter.
-pub fn run_scenario<C>(
+/// `workload(node, round)` keeps producing keyed operations for every
+/// **live** node during the whole schedule (crashed nodes execute
+/// nothing); after the last round, boundary events fire and the runner
+/// synchronizes idle rounds until all live replicas agree, up to a slack
+/// budget derived from the topology diameter.
+pub fn run_scenario<K, C>(
     kind: ProtocolKind,
     topology: Topology,
     schedule: &ScenarioSchedule,
     net_cfg: NetworkConfig,
     model: SizeModel,
-    workload: &mut impl Workload<C>,
+    threads: usize,
+    workload: &mut impl FnMut(ReplicaId, usize) -> Vec<KeyedOp<K, C>>,
 ) -> ScenarioOutcome
 where
-    C: Crdt + WireEncode + 'static,
-    C::Op: WireEncode + 'static,
+    K: Ord
+        + Clone
+        + core::fmt::Debug
+        + Sizeable
+        + std::hash::Hash
+        + WireEncode
+        + Send
+        + Sync
+        + 'static,
+    C: Crdt + WireEncode + Send + 'static,
+    C::Op: WireEncode + Send + Sync + 'static,
 {
-    let mut runner: DynRunner<C> = DynRunner::new(kind, topology, net_cfg, model);
-    let mut durability = vec![true; runner.membership().len()];
+    let mut runner: ShardedEngineRunner<K, C> =
+        ShardedEngineRunner::new(kind, topology, net_cfg, model, threads);
 
     let mut staleness_rounds = 0usize;
     let mut window = 0usize;
     let mut max_window = 0usize;
     for round in 0..schedule.rounds() {
         for event in schedule.events_at(round) {
-            apply_event(&mut runner, event, &mut durability);
+            runner.apply_event(event);
         }
-        runner.step(workload);
+        runner.step_with(workload);
         if runner.converged() {
             window = 0;
         } else {
@@ -370,31 +323,17 @@ where
         }
     }
     for event in schedule.events_from(schedule.rounds()) {
-        apply_event(&mut runner, event, &mut durability);
+        runner.apply_event(event);
     }
 
     let bytes_before = runner.metrics().total_bytes();
     let slack = runner.topology().diameter() * 6 + 32;
-    // Drive convergence round by round so the staleness window keeps
-    // counting through the tail — including the case where it never
-    // closes within the slack budget.
-    let mut convergence_rounds = None;
-    let mut idle = |_: ReplicaId, _: usize| -> Vec<C::Op> { Vec::new() };
-    for extra in 0..=slack {
-        if runner.converged() {
-            convergence_rounds = Some(extra);
-            break;
-        }
-        if extra == slack {
-            break;
-        }
-        runner.step(&mut idle);
-        window += 1;
-        max_window = max_window.max(window);
-    }
+    // The staleness window keeps counting through the convergence tail —
+    // including the case where it never closes within the slack budget.
+    let convergence_rounds = runner.run_to_convergence(slack);
+    max_window = max_window.max(window + convergence_rounds.unwrap_or(slack));
 
     let repair = runner.repair_stats();
-    let converged = runner.converged();
     let metrics = runner.metrics();
     ScenarioOutcome {
         scenario: schedule.name().to_string(),
@@ -412,7 +351,7 @@ where
         staleness_rounds,
         max_staleness_window: max_window,
         final_nodes: runner.membership().len(),
-        converged,
+        converged: convergence_rounds.is_some(),
     }
 }
 
@@ -421,10 +360,11 @@ mod tests {
     use super::*;
     use crdt_types::{GSet, GSetOp};
 
-    /// Each live node adds one globally unique element per round.
-    fn unique_adds(stride: usize) -> impl FnMut(ReplicaId, usize) -> Vec<GSetOp<u64>> {
+    /// Each live node adds one globally unique element per round to the
+    /// single object.
+    fn unique_adds(stride: usize) -> impl FnMut(ReplicaId, usize) -> Vec<((), GSetOp<u64>)> {
         move |node: ReplicaId, round: usize| {
-            vec![GSetOp::Add((round * stride + node.index()) as u64)]
+            vec![((), GSetOp::Add((round * stride + node.index()) as u64))]
         }
     }
 
@@ -432,12 +372,13 @@ mod tests {
         let n = 6;
         let rounds = 12;
         let schedule = ScenarioSchedule::builtin(name, n, rounds).expect("known scenario");
-        run_scenario::<GSet<u64>>(
+        run_scenario::<(), GSet<u64>>(
             kind,
             Topology::partial_mesh(n, 4),
             &schedule,
             NetworkConfig::reliable(7),
             SizeModel::compact(),
+            1,
             &mut unique_adds(64),
         )
     }

@@ -239,9 +239,10 @@ impl Topology {
 /// answers the time-varying questions a fault scenario asks — is this
 /// node up, can a message cross this edge right now, who are the live
 /// representatives of each partition side. Drivers
-/// ([`crate::DynRunner`], the scenario layer) consult it at delivery
-/// time; senders keep addressing their full neighbor list, exactly like
-/// real deployments that do not learn about crashes or cuts synchronously.
+/// ([`crate::ShardedEngineRunner`], the scenario layer) consult it at
+/// delivery time; senders keep addressing their full neighbor list,
+/// exactly like real deployments that do not learn about crashes or cuts
+/// synchronously.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DynamicTopology {
     base: Topology,

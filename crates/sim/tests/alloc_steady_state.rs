@@ -12,7 +12,7 @@
 //! one measuring test.
 
 use crdt_lattice::SizeModel;
-use crdt_sim::{ShardedEngineRunner, Topology};
+use crdt_sim::{NetworkConfig, ShardedEngineRunner, Topology};
 use crdt_sync::ProtocolKind;
 use crdt_types::{GSet, GSetOp};
 
@@ -31,6 +31,7 @@ fn warm_runner(objects: usize) -> Runner {
     let mut r: Runner = ShardedEngineRunner::new(
         ProtocolKind::BpRr,
         Topology::full_mesh(NODES),
+        NetworkConfig::reliable(0),
         SizeModel::compact(),
         THREADS,
     );

@@ -1,38 +1,41 @@
-//! Engine-parity property tests for the unified sharded runner.
+//! Parity and invariance property tests for the type-erased driver.
 //!
-//! Two pinned properties:
+//! 1. **Accounting parity with the generic reference.** For the δ-kinds
+//!    (`classic`, `bp`, `rr`, `bp_rr`), a K-object
+//!    [`ShardedEngineRunner`] run at `threads = 1` over a random keyed
+//!    schedule accounts, round by round, exactly like K independent
+//!    single-object [`Runner`] runs summed: per-object envelopes (the
+//!    reference's messages), payload elements, payload bytes, metadata
+//!    bytes (plus one key per envelope), and final states. Only the frame
+//!    count differs — batching collapses it to O(links) — which is
+//!    exactly the claim the `retwis_sharded` bench measures.
 //!
-//! 1. **Accounting parity with the legacy sharded runner.** For the
-//!    δ-kinds (`classic`, `bp`, `rr`, `bp_rr`),
-//!    [`ShardedEngineRunner`] at `threads = 1` over a random keyed
-//!    schedule produces **byte-identical** deterministic accounting to
-//!    [`ShardedDeltaRunner`] round by round: per-object envelopes (the
-//!    legacy runner's per-object messages), payload elements,
-//!    payload/metadata bytes, and memory snapshots. Only the frame count
-//!    differs — batching collapses it to O(links) — which is exactly the
-//!    claim the `retwis_sharded` bench measures.
-//!
-//! 2. **Thread-count invariance for every kind.** All nine
-//!    [`ProtocolKind`]s produce identical final states *and* identical
-//!    deterministic accounting across thread counts.
+//! 2. **Thread-count invariance for every kind**, on a reliable fabric,
+//!    on the §II channel (duplication + reordering), and through a
+//!    `flapping_link` schedule: identical final states, accounting and
+//!    fabric RNG draws at 1 and 4 threads.
 
-use crdt_lattice::{ReplicaId, SizeModel};
-use crdt_sim::{KeyedOp, ShardedDeltaRunner, ShardedEngineRunner, Topology};
-use crdt_sync::{DeltaConfig, ProtocolKind};
+use crdt_lattice::{ReplicaId, SizeModel, Sizeable};
+use crdt_sim::{
+    run_scenario, KeyedOp, NetworkConfig, Runner, ScenarioSchedule, ShardedEngineRunner, Topology,
+};
+use crdt_sync::{BpDelta, BpRrDelta, ClassicDelta, Protocol, ProtocolKind, RrDelta};
 use crdt_types::{GSet, GSetOp};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 
 const N: usize = 5;
+const KEYS: u32 = 4;
+const MODEL: SizeModel = SizeModel::compact();
 
 /// One round's keyed ops per node, from a flat (node, key, elem) list.
 type Schedule = Vec<Vec<Vec<KeyedOp<u32, GSet<u64>>>>>;
 
-fn schedule_strategy() -> impl Strategy<Value = Schedule> {
-    // 1–3 rounds; per round up to 8 keyed ops spread over N nodes and a
-    // 4-key space. Element values collide across nodes on purpose
-    // (concurrent duplicate adds exercise RR extraction).
-    pvec(pvec((0usize..N, 0u32..4, 0u64..16), 0..8), 1..4).prop_map(|rounds| {
+/// `rounds` rounds; per round up to 8 keyed ops spread over N nodes and
+/// a 4-key space. Element values collide across nodes on purpose
+/// (concurrent duplicate adds exercise RR extraction).
+fn schedule_strategy(rounds: std::ops::Range<usize>) -> impl Strategy<Value = Schedule> {
+    pvec(pvec((0usize..N, 0..KEYS, 0u64..16), 0..8), rounds).prop_map(|rounds| {
         rounds
             .into_iter()
             .map(|ops| {
@@ -46,107 +49,164 @@ fn schedule_strategy() -> impl Strategy<Value = Schedule> {
     })
 }
 
-fn delta_kinds() -> [(DeltaConfig, ProtocolKind); 4] {
-    [
-        (DeltaConfig::CLASSIC, ProtocolKind::Classic),
-        (DeltaConfig::BP, ProtocolKind::Bp),
-        (DeltaConfig::RR, ProtocolKind::Rr),
-        (DeltaConfig::BP_RR, ProtocolKind::BpRr),
-    ]
+fn topo() -> Topology {
+    Topology::partial_mesh(N, 4)
+}
+
+/// Everything deterministic a finished run exposes: totals, per-object
+/// final states, and the extra rounds convergence took.
+type Fingerprint = (u64, u64, u64, u64, Vec<Option<GSet<u64>>>, Option<usize>);
+
+fn run_sharded(
+    kind: ProtocolKind,
+    net: NetworkConfig,
+    threads: usize,
+    schedule: &Schedule,
+) -> Fingerprint {
+    let mut r: ShardedEngineRunner<u32, GSet<u64>> =
+        ShardedEngineRunner::new(kind, topo(), net, MODEL, threads);
+    for round in schedule {
+        r.step(round);
+    }
+    let extra = r.run_to_convergence(64);
+    let states = (0..N)
+        .flat_map(|node| (0..KEYS).map(move |key| (node, key)))
+        .map(|(node, key)| r.object_state(ReplicaId::from(node), &key).cloned())
+        .collect();
+    let m = r.metrics();
+    (
+        m.total_elements(),
+        m.total_bytes(),
+        m.total_messages(),
+        m.total_envelopes(),
+        states,
+        extra,
+    )
+}
+
+/// Property 1 for one δ-kind: `P` is the generic protocol `kind` erases.
+fn sharded_run_is_the_sum_of_reference_runs<P: Protocol<GSet<u64>>>(
+    kind: ProtocolKind,
+    schedule: &Schedule,
+) {
+    let mut unified: ShardedEngineRunner<u32, GSet<u64>> =
+        ShardedEngineRunner::new(kind, topo(), NetworkConfig::reliable(1), MODEL, 1);
+    for round in schedule {
+        unified.step(round);
+    }
+    unified.run_to_convergence(64).expect("unified converges");
+    let rounds = unified.metrics().rounds.len();
+
+    // One reference run per object, over exactly as many rounds: the
+    // ops that named this key, then idle.
+    let references: Vec<Runner<GSet<u64>, P>> = (0..KEYS)
+        .map(|key| {
+            let mut r = Runner::new(topo(), NetworkConfig::reliable(1), MODEL);
+            let mut workload = |node: ReplicaId, round: usize| -> Vec<GSetOp<u64>> {
+                let ops = schedule.get(round).map(|r| r[node.index()].as_slice());
+                ops.unwrap_or_default()
+                    .iter()
+                    .filter(|(k, _)| *k == key)
+                    .map(|(_, op)| op.clone())
+                    .collect()
+            };
+            r.run(&mut workload, rounds);
+            r
+        })
+        .collect();
+
+    let key_bytes = 0u32.payload_bytes(&MODEL);
+    for (r, ur) in unified.metrics().rounds.iter().enumerate() {
+        let sum = |f: fn(&crdt_sim::RoundMetrics) -> u64| -> u64 {
+            references.iter().map(|x| f(&x.metrics().rounds[r])).sum()
+        };
+        // The reference's per-object messages are the unified runner's
+        // pre-batching envelopes; each carries its key as metadata.
+        let envelopes = sum(|m| m.messages);
+        assert_eq!(ur.envelopes, envelopes, "{} round {}: envelopes", kind, r);
+        assert_eq!(
+            ur.payload_elements,
+            sum(|m| m.payload_elements),
+            "{} round {}: elements",
+            kind,
+            r
+        );
+        assert_eq!(
+            ur.payload_bytes,
+            sum(|m| m.payload_bytes),
+            "{} round {}: payload bytes",
+            kind,
+            r
+        );
+        assert_eq!(
+            ur.metadata_bytes,
+            sum(|m| m.metadata_bytes) + envelopes * key_bytes,
+            "{} round {}: metadata bytes",
+            kind,
+            r
+        );
+        // Batching can only reduce frame count.
+        assert!(ur.messages <= envelopes, "{} round {}: frames", kind, r);
+    }
+    let bottom = GSet::default();
+    for (key, reference) in (0..KEYS).zip(&references) {
+        for node in (0..N).map(ReplicaId::from) {
+            // A key this node never heard of is `⊥` in the reference.
+            assert_eq!(
+                unified.object_state(node, &key).unwrap_or(&bottom),
+                reference.node(node).state(),
+                "{} node {} key {}: state",
+                kind,
+                node,
+                key
+            );
+        }
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn threads1_matches_sharded_delta_runner_byte_for_byte(schedule in schedule_strategy()) {
-        for (cfg, kind) in delta_kinds() {
-            let topo = Topology::partial_mesh(N, 4);
-            let mut legacy: ShardedDeltaRunner<u32, GSet<u64>> =
-                ShardedDeltaRunner::new(topo.clone(), cfg, SizeModel::compact());
-            let mut unified: ShardedEngineRunner<u32, GSet<u64>> =
-                ShardedEngineRunner::new(kind, topo, SizeModel::compact(), 1);
-            for round in &schedule {
-                legacy.step(round);
-                unified.step(round);
-            }
-            let extra_legacy = legacy.run_to_convergence(64).expect("legacy converges");
-            let extra_unified = unified.run_to_convergence(64).expect("unified converges");
-            prop_assert_eq!(extra_legacy, extra_unified, "{}: convergence rounds", kind);
+    fn threads1_matches_independent_generic_runs_summed(schedule in schedule_strategy(1..4)) {
+        sharded_run_is_the_sum_of_reference_runs::<ClassicDelta<_>>(ProtocolKind::Classic, &schedule);
+        sharded_run_is_the_sum_of_reference_runs::<BpDelta<_>>(ProtocolKind::Bp, &schedule);
+        sharded_run_is_the_sum_of_reference_runs::<RrDelta<_>>(ProtocolKind::Rr, &schedule);
+        sharded_run_is_the_sum_of_reference_runs::<BpRrDelta<_>>(ProtocolKind::BpRr, &schedule);
+    }
 
-            let (lm, um) = (legacy.metrics(), unified.metrics());
-            prop_assert_eq!(lm.rounds.len(), um.rounds.len(), "{}: round count", kind);
-            for (r, (lr, ur)) in lm.rounds.iter().zip(um.rounds.iter()).enumerate() {
-                // The legacy runner's per-object messages are the unified
-                // runner's pre-batching envelopes.
-                prop_assert_eq!(lr.messages, ur.envelopes, "{} round {}: envelopes", kind, r);
-                prop_assert_eq!(
-                    lr.payload_elements, ur.payload_elements,
-                    "{} round {}: elements", kind, r
-                );
-                prop_assert_eq!(
-                    lr.payload_bytes, ur.payload_bytes,
-                    "{} round {}: payload bytes", kind, r
-                );
-                prop_assert_eq!(
-                    lr.metadata_bytes, ur.metadata_bytes,
-                    "{} round {}: metadata bytes", kind, r
-                );
-                prop_assert_eq!(lr.memory, ur.memory, "{} round {}: memory", kind, r);
-                // Batching can only reduce frame count.
-                prop_assert!(ur.messages <= lr.messages, "{} round {}: frames", kind, r);
-            }
-            for node in 0..N {
-                let id = ReplicaId::from(node);
-                prop_assert_eq!(
-                    legacy.objects_at(id),
-                    unified.objects_at(id),
-                    "{} node {}: object count", kind, node
-                );
-                for key in 0u32..4 {
-                    prop_assert_eq!(
-                        legacy.object_state(id, &key),
-                        unified.object_state(id, &key),
-                        "{} node {} key {}: state", kind, node, key
-                    );
-                }
+    #[test]
+    fn every_kind_is_thread_count_invariant(schedule in schedule_strategy(1..4), seed in 0u64..1024) {
+        for kind in ProtocolKind::ALL {
+            for net in [NetworkConfig::reliable(seed), NetworkConfig::chaotic(seed)] {
+                let one = run_sharded(kind, net, 1, &schedule);
+                prop_assert!(one.5.is_some(), "{} did not converge under {:?}", kind, net);
+                prop_assert_eq!(&one, &run_sharded(kind, net, 4, &schedule), "{}: threads 1 vs 4", kind);
             }
         }
     }
 
     #[test]
-    fn every_kind_is_thread_count_invariant(schedule in schedule_strategy()) {
+    fn flapping_link_outcomes_are_thread_count_invariant(
+        schedule in schedule_strategy(8..11),
+        seed in 0u64..1024,
+    ) {
+        let flapping = ScenarioSchedule::builtin("flapping_link", N, schedule.len()).unwrap();
         for kind in ProtocolKind::ALL {
             let run = |threads: usize| {
-                let mut r: ShardedEngineRunner<u32, GSet<u64>> = ShardedEngineRunner::new(
+                run_scenario::<u32, GSet<u64>>(
                     kind,
-                    Topology::partial_mesh(N, 4),
-                    SizeModel::compact(),
+                    topo(),
+                    &flapping,
+                    NetworkConfig::reliable(seed),
+                    MODEL,
                     threads,
-                );
-                for round in &schedule {
-                    r.step(round);
-                }
-                r.run_to_convergence(64)
-                    .unwrap_or_else(|| panic!("{kind} did not converge"));
-                let states: Vec<Option<GSet<u64>>> = (0..N)
-                    .flat_map(|node| {
-                        (0u32..4).map(move |key| (node, key))
-                    })
-                    .map(|(node, key)| r.object_state(ReplicaId::from(node), &key).cloned())
-                    .collect();
-                let m = r.metrics();
-                (
-                    m.total_elements(),
-                    m.total_bytes(),
-                    m.total_messages(),
-                    m.total_envelopes(),
-                    states,
+                    &mut |node: ReplicaId, round: usize| schedule[round][node.index()].clone(),
                 )
             };
             let one = run(1);
-            let four = run(4);
-            prop_assert_eq!(&one, &four, "{}: threads 1 vs 4", kind);
+            prop_assert!(one.converged, "{} did not re-converge: {:?}", kind, one);
+            prop_assert_eq!(&one, &run(4), "{}: threads 1 vs 4", kind);
         }
     }
 }

@@ -444,7 +444,7 @@ impl Workload<RetwisStore> for RetwisWorkload {
 ///
 /// The paper's deployment synchronizes each of the "30K CRDT objects"
 /// independently (its own δ-buffer, its own Algorithm 1 instance); this
-/// split drives `crdt_sim::ShardedDeltaRunner` — one runner per family —
+/// split drives `crdt_sim::ShardedEngineRunner` — one runner per family —
 /// which is equivalent to one deployment hosting all objects, since
 /// objects never interact.
 #[derive(Debug, Clone, Default)]

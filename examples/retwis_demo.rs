@@ -5,16 +5,14 @@
 //! cargo run --release -p crdt-bench --example retwis_demo
 //! ```
 
+use crdt_bench::retwis_sharded::run_retwis;
 use crdt_lattice::ReplicaId;
-use crdt_lattice::SizeModel;
-use crdt_sim::{ShardedDeltaRunner, Topology};
-use crdt_sync::DeltaConfig;
-use crdt_types::GSet;
-use crdt_workloads::{RetwisConfig, RetwisStore, RetwisTrace, Timeline, UserId, Wall};
+use crdt_sim::Topology;
+use crdt_sync::ProtocolKind;
+use crdt_workloads::{RetwisConfig, RetwisStore, RetwisTrace, UserId};
 
 fn main() {
     let topo = Topology::partial_mesh(10, 4);
-    let model = SizeModel::compact();
     let cfg = RetwisConfig {
         n_users: 200,
         zipf: 1.0,
@@ -34,36 +32,10 @@ fn main() {
     );
 
     // One sharded runner per object family, all BP+RR.
-    let mut followers: ShardedDeltaRunner<UserId, GSet<UserId>> =
-        ShardedDeltaRunner::new(topo.clone(), DeltaConfig::BP_RR, model);
-    let mut walls: ShardedDeltaRunner<UserId, Wall> =
-        ShardedDeltaRunner::new(topo.clone(), DeltaConfig::BP_RR, model);
-    let mut timelines: ShardedDeltaRunner<UserId, Timeline> =
-        ShardedDeltaRunner::new(topo.clone(), DeltaConfig::BP_RR, model);
-
-    for round in &trace.rounds {
-        followers.step(
-            &round
-                .iter()
-                .map(|n| n.followers.clone())
-                .collect::<Vec<_>>(),
-        );
-        walls.step(&round.iter().map(|n| n.walls.clone()).collect::<Vec<_>>());
-        timelines.step(
-            &round
-                .iter()
-                .map(|n| n.timelines.clone())
-                .collect::<Vec<_>>(),
-        );
-    }
-    let f = followers
-        .run_to_convergence(64)
-        .expect("followers converge");
-    let w = walls.run_to_convergence(64).expect("walls converge");
-    let t = timelines
-        .run_to_convergence(64)
-        .expect("timelines converge");
-    println!("converged after {} extra rounds", f.max(w).max(t));
+    let run = run_retwis(&trace, ProtocolKind::BpRr, &topo, 1, 64);
+    let extra = run.convergence_rounds.expect("every family converges");
+    println!("converged after {extra} extra rounds");
+    let (followers, walls, timelines) = (&run.followers, &run.walls, &run.timelines);
 
     // Read the hot user's world from an arbitrary replica.
     let observer = ReplicaId(7);
@@ -102,10 +74,7 @@ fn main() {
         composed.value()
     );
 
-    let m = followers
-        .metrics()
-        .merged(walls.metrics())
-        .merged(timelines.metrics());
+    let m = run.metrics();
     println!(
         "totals: {} messages, {} elements, {} payload bytes",
         m.total_messages(),

@@ -4,12 +4,11 @@
 
 use crdt_bench::{find, run_suite, Suite};
 use crdt_lattice::SizeModel;
-use crdt_sim::{run_experiment, NetworkConfig, ShardedDeltaRunner, Topology};
-use crdt_sync::{AckedDeltaSync, DeltaConfig, OpBased, Scuttlebutt, ScuttlebuttGc};
+use crdt_sim::{run_experiment, NetworkConfig, Topology};
+use crdt_sync::{AckedDeltaSync, OpBased, ProtocolKind, Scuttlebutt, ScuttlebuttGc};
 use crdt_types::{GCounter, GSet};
 use crdt_workloads::{
-    GCounterWorkload, GMapCrdt, GMapWorkload, GSetWorkload, RetwisConfig, RetwisTrace, Timeline,
-    UserId, Wall,
+    GCounterWorkload, GMapCrdt, GMapWorkload, GSetWorkload, RetwisConfig, RetwisTrace,
 };
 
 const MODEL: SizeModel = SizeModel::compact();
@@ -212,7 +211,7 @@ fn fig10_memory_ordering() {
 fn fig11_retwis_contention_crossover() {
     let topo = Topology::partial_mesh(10, 4);
     let rounds = 8;
-    let run = |zipf: f64, cfg: DeltaConfig| {
+    let run = |zipf: f64, kind: ProtocolKind| {
         let trace = RetwisTrace::generate(
             RetwisConfig {
                 n_users: 200,
@@ -224,38 +223,12 @@ fn fig11_retwis_contention_crossover() {
             topo.len(),
             rounds,
         );
-        let mut followers: ShardedDeltaRunner<UserId, GSet<UserId>> =
-            ShardedDeltaRunner::new(topo.clone(), cfg, MODEL);
-        let mut walls: ShardedDeltaRunner<UserId, Wall> =
-            ShardedDeltaRunner::new(topo.clone(), cfg, MODEL);
-        let mut timelines: ShardedDeltaRunner<UserId, Timeline> =
-            ShardedDeltaRunner::new(topo.clone(), cfg, MODEL);
-        for round in &trace.rounds {
-            followers.step(
-                &round
-                    .iter()
-                    .map(|n| n.followers.clone())
-                    .collect::<Vec<_>>(),
-            );
-            walls.step(&round.iter().map(|n| n.walls.clone()).collect::<Vec<_>>());
-            timelines.step(
-                &round
-                    .iter()
-                    .map(|n| n.timelines.clone())
-                    .collect::<Vec<_>>(),
-            );
-        }
-        followers.run_to_convergence(40).unwrap();
-        walls.run_to_convergence(40).unwrap();
-        timelines.run_to_convergence(40).unwrap();
-        followers
-            .into_metrics()
-            .merged(&walls.into_metrics())
-            .merged(&timelines.into_metrics())
-            .total_bytes()
+        let run = crdt_bench::retwis_sharded::run_retwis(&trace, kind, &topo, 1, 40);
+        run.convergence_rounds.expect("every family converges");
+        run.metrics().total_bytes()
     };
-    let low = run(0.5, DeltaConfig::CLASSIC) as f64 / run(0.5, DeltaConfig::BP_RR) as f64;
-    let high = run(1.5, DeltaConfig::CLASSIC) as f64 / run(1.5, DeltaConfig::BP_RR) as f64;
+    let low = run(0.5, ProtocolKind::Classic) as f64 / run(0.5, ProtocolKind::BpRr) as f64;
+    let high = run(1.5, ProtocolKind::Classic) as f64 / run(1.5, ProtocolKind::BpRr) as f64;
     assert!(
         low < 2.5,
         "low contention: classic must be near BP+RR (got {low:.2}x)"
