@@ -1,6 +1,6 @@
-//! One function per paper artifact (figure/table). The `src/bin/*`
-//! binaries are thin wrappers; `all_experiments` runs everything at
-//! reduced scale. EXPERIMENTS.md records paper-vs-measured for each.
+//! One function per paper artifact (figure/table), run by name through
+//! the `all_experiments` bin — see the `all_experiments` section of
+//! ARCHITECTURE.md for the names and what each reproduces.
 
 use crdt_lattice::SizeModel;
 use crdt_sim::{run_experiment, NetworkConfig, RunMetrics, Topology};
@@ -365,14 +365,8 @@ pub fn run_retwis_sweep(scale: Scale) -> Vec<ZipfPoint> {
 }
 
 /// Fig. 11: Retwis transmission bandwidth (top) and average memory
-/// (bottom) per node, classic vs BP+RR, first/second half of the run.
-pub fn fig11(scale: Scale) {
-    let points = run_retwis_sweep(scale);
-    fig11_from(&points);
-}
-
-/// Render Fig. 11 from a precomputed sweep (shared with
-/// `all_experiments`).
+/// (bottom) per node, classic vs BP+RR, first/second half of the run —
+/// rendered from a [`run_retwis_sweep`] that Fig. 12 shares.
 pub fn fig11_from(points: &[ZipfPoint]) {
     let mut tx_rows = Vec::new();
     let mut mem_rows = Vec::new();
@@ -425,13 +419,7 @@ pub fn fig11_from(points: &[ZipfPoint]) {
 }
 
 /// Fig. 12: CPU overhead of classic delta w.r.t. BP+RR per Zipf
-/// coefficient.
-pub fn fig12(scale: Scale) {
-    let points = run_retwis_sweep(scale);
-    fig12_from(&points);
-}
-
-/// Render Fig. 12 from a precomputed sweep.
+/// coefficient, from the same sweep as Fig. 11.
 pub fn fig12_from(points: &[ZipfPoint]) {
     let rows: Vec<Vec<String>> = points
         .iter()
@@ -527,9 +515,8 @@ pub fn table2(scale: Scale) {
 // Runtime protocol selection (engine layer)
 // ---------------------------------------------------------------------------
 
-/// Transmission/memory comparison for a **runtime-chosen** protocol set:
-/// the `protocol_select` binary's engine, also reused by
-/// `all_experiments`. Unlike the `fig*` functions (monomorphized per
+/// Transmission/memory comparison for a **runtime-chosen** protocol set
+/// (`all_experiments protocol_select --protocol …`). Unlike the `fig*` functions (monomorphized per
 /// protocol), every run here goes through `Box<dyn SyncEngine>` over
 /// encoded [`crdt_sync::WireEnvelope`]s — the deployment path.
 pub fn protocol_select(scale: Scale, kinds: &[crdt_sync::ProtocolKind]) {

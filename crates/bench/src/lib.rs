@@ -1,51 +1,32 @@
 //! # crdt-bench
 //!
-//! Experiment harness regenerating every table and figure of the paper's
-//! evaluation (§V). Each `src/bin/figN_*.rs` binary reproduces one
-//! artifact; this library holds the shared machinery: running the full
-//! protocol suite over a workload factory, ratio computation, and aligned
-//! table printing.
-//!
-//! Run everything (reduced scale) with:
-//!
-//! ```text
-//! cargo run --release -p crdt-bench --bin all_experiments
-//! ```
-//!
-//! ## Beyond the paper: the `scenarios` experiment family
-//!
-//! The paper's evaluation is a static 15-node topology. The `scenarios`
-//! binary (module [`scenarios`]) extends the BP/RR ablation into fault
-//! regimes, driving every [`crdt_sync::ProtocolKind`] through built-in
-//! fault schedules and emitting machine-readable `BENCH_scenarios.json`
-//! (consumed by CI's `bench-smoke` regression gate):
-//!
-//! | scenario | shape | what it stresses |
-//! |---|---|---|
-//! | `partition_heal` | cluster splits in half at ¼ of the run, heals at ¾ | staleness windows, repair traffic vs. built-in recovery |
-//! | `churn` | durable crash/restart + non-durable crash/restart + a join | bootstrap cost, stale-ack/vector handling after cold restarts |
-//! | `flapping_link` | one edge flaps lossy (drop+dup+reorder) three times | loss tolerance: acked/anti-entropy self-heal, delta family needs repair |
-//! | `rolling_restart` | every node durably restarted, one at a time | steady-state recovery cost of operational maintenance |
+//! The paper's figures and the deterministic count gates — and nothing
+//! timed. `benchmark/` (the repo benchmark) owns every wall-clock
+//! number; this crate owns what the paper's evaluation (§V) actually
+//! argues with: bytes, elements, rounds and allocations, all pure
+//! functions of the seed. Two bins (see the "Measurement" section of
+//! ARCHITECTURE.md):
 //!
 //! ```text
-//! cargo run --release -p crdt-bench --bin scenarios -- \
-//!     --scenario partition_heal --protocol all --quick
+//! cargo run --release -p crdt-bench --bin all_experiments -- [name …] [--quick]
+//! cargo run --release -p crdt-bench --bin perf -- <family> [--quick] \
+//!     [--out BENCH_<family>.json] [--baseline ci/bench-baseline/BENCH_<family>.json]
 //! ```
 //!
-//! ## Real sockets: the `net_loopback` experiment family
+//! * `all_experiments` regenerates the paper's tables and figures
+//!   ([`experiments`]; no name = all of them) plus `protocol_select`,
+//!   the same comparison over a runtime-chosen `--protocol` set.
+//! * `perf <family>` runs one gated family of [`gate::FAMILIES`] —
+//!   `codec`, `merge`, `net`, `netload`, `repair`, `retwis_sharded`,
+//!   `scenarios` — through the one harness in [`gate`]: write
+//!   `BENCH_<family>.json`, collect every broken in-process invariant
+//!   and every regression against `--baseline`, exit once. A report
+//!   holds only seed-determined values, so the checked-in baseline is
+//!   reproduced byte for byte by a fresh run. `perf metric_names` lists
+//!   every registered metric name (the `ci/metric-names.txt` golden).
 //!
-//! The `net_loopback` binary (module [`net_loopback`]) runs the same
-//! deterministic workload through the in-process simulator **and** a
-//! real-TCP `crdt_net::LoopbackCluster`, reporting both ledgers in
-//! `BENCH_net.json`: model-view bytes (byte-identical between the two
-//! for the raw-δ kinds), the socket ledger (frames, wire bytes), and
-//! artifact-only wall-clock convergence for the free-running scheduler
-//! threads. CI gates the deterministic metrics against
-//! `ci/bench-baseline/BENCH_net.json`:
-//!
-//! ```text
-//! cargo run --release -p crdt-bench --bin net_loopback -- --quick --protocol all
-//! ```
+//! This library holds the shared machinery: running the protocol suite
+//! over a workload factory, ratio computation, aligned table printing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -185,157 +166,11 @@ where
         .collect()
 }
 
-/// Parse every `--protocol <kind>` (repeatable, any [`ProtocolKind`]
-/// spelling) from `std::env::args`; `default` when none given.
-///
-/// `--protocol all` selects the full suite. Invalid or missing values
-/// print the accepted spellings to stderr and exit with status 2.
-pub fn protocols_from_args(default: &[ProtocolKind]) -> Vec<ProtocolKind> {
-    let usage_exit = |msg: &str| -> ! {
-        eprintln!("error: {msg}");
-        eprintln!(
-            "usage: --protocol <kind> (repeatable), where <kind> is `all` or one of: {}",
-            ProtocolKind::ALL.map(|k| k.id()).join(", ")
-        );
-        std::process::exit(2);
-    };
-    let args: Vec<String> = std::env::args().collect();
-    let mut kinds = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--protocol" {
-            let Some(value) = args.get(i + 1) else {
-                usage_exit("--protocol needs a value");
-            };
-            if value == "all" {
-                kinds.extend(ProtocolKind::ALL);
-            } else {
-                match value.parse() {
-                    Ok(kind) => kinds.push(kind),
-                    Err(e) => usage_exit(&format!("{e}")),
-                }
-            }
-            i += 2;
-        } else {
-            i += 1;
-        }
-    }
-    if kinds.is_empty() {
-        kinds.extend_from_slice(default);
-    }
-    kinds
-}
-
 /// Find a run by protocol name.
 pub fn find<'a>(runs: &'a [Run], name: &str) -> &'a Run {
     runs.iter()
         .find(|r| r.name == name)
         .unwrap_or_else(|| panic!("protocol {name} missing from suite"))
-}
-
-/// The pass limit for a gated regression metric:
-/// `max(base × (1 + tolerance), epsilon)`.
-///
-/// The multiplicative rule alone misbehaves at the bottom of the range.
-/// At a **zero** baseline it degenerates to `limit = 0` — a ratio-based
-/// formulation divides by zero, and any non-zero current value (or
-/// none, under `>=` spellings) trips the gate — yet several metrics are
-/// legitimately zero (the self-healing kinds report zero repair bytes)
-/// and must still be caught if they suddenly need kilobytes of repair.
-/// At **tiny** baselines it forbids harmless absolute jitter: a
-/// convergence-rounds baseline of 1 would fail on any +1. The absolute
-/// `epsilon` is therefore a floor on the limit, sized per metric to the
-/// smallest regression worth failing CI over.
-pub fn gate_limit(base: f64, tolerance: f64, epsilon: f64) -> f64 {
-    (base * (1.0 + tolerance)).max(epsilon)
-}
-
-/// Shared regression-gate core for `BENCH_*.json` reports.
-///
-/// Rows are matched by rendering each of `key_fields` (strings verbatim,
-/// numbers as `{:.3}`). For every baseline row, the current report must
-/// contain the row, the row must have `"converged": true`, and each
-/// `(metric, epsilon)` of `gated` must satisfy
-/// `current ≤ gate_limit(baseline, tolerance, epsilon)`. A metric absent
-/// from the *current* row is skipped — the only such case in practice is
-/// a `null` `convergence_rounds`, which the converged check already
-/// reports. Improvements always pass. Returns human-readable violations.
-pub fn check_regression_gate(
-    current: &json::Json,
-    baseline: &json::Json,
-    tolerance: f64,
-    key_fields: &[&str],
-    gated: &[(&str, f64)],
-) -> Vec<String> {
-    use json::Json;
-    let mut violations = Vec::new();
-    let empty: &[Json] = &[];
-    let rows = |doc: &Json| -> Vec<Json> {
-        doc.get("results")
-            .and_then(Json::as_array)
-            .unwrap_or(empty)
-            .to_vec()
-    };
-    let key = |row: &Json| -> Vec<String> {
-        key_fields
-            .iter()
-            .map(|f| match row.get(f) {
-                Some(Json::Str(s)) => s.clone(),
-                Some(v) => v.as_f64().map_or_else(String::new, |n| format!("{n:.3}")),
-                None => String::new(),
-            })
-            .collect()
-    };
-    let label = |row: &Json| -> String {
-        key_fields
-            .iter()
-            .zip(key(row))
-            .map(|(f, v)| format!("{f}={v}"))
-            .collect::<Vec<_>>()
-            .join("/")
-    };
-    let current_rows = rows(current);
-    for base in rows(baseline) {
-        let label = label(&base);
-        let Some(cur) = current_rows.iter().find(|r| key(r) == key(&base)) else {
-            violations.push(format!("{label}: missing from current run"));
-            continue;
-        };
-        if cur.get("converged").and_then(Json::as_bool) != Some(true) {
-            violations.push(format!("{label}: did not converge"));
-            continue;
-        }
-        for &(metric, epsilon) in gated {
-            let base_v = base.get(metric).and_then(Json::as_f64).unwrap_or(0.0);
-            let Some(cur_v) = cur.get(metric).and_then(Json::as_f64) else {
-                continue;
-            };
-            let limit = gate_limit(base_v, tolerance, epsilon);
-            if cur_v > limit {
-                violations.push(format!(
-                    "{label}: {metric} regressed {base_v:.0} → {cur_v:.0} \
-                     (limit {limit:.0} at {:.0}% tolerance)",
-                    tolerance * 100.0
-                ));
-            }
-        }
-    }
-    violations
-}
-
-/// The value following a `--flag` in `std::env::args`, if the flag is
-/// present; exits with status 2 when the flag is given without a value.
-pub fn flag_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .map(|i| match args.get(i + 1) {
-            Some(v) => v.clone(),
-            None => {
-                eprintln!("error: {name} needs a value");
-                std::process::exit(2);
-            }
-        })
 }
 
 /// Ratio `a / b`, guarding division by zero.
@@ -353,24 +188,16 @@ pub fn ratio(a: u64, b: u64) -> f64 {
 
 /// Scale flag: `--quick` shrinks experiments for CI; default is paper
 /// scale.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scale {
     /// Paper-scale parameters.
+    #[default]
     Full,
     /// Reduced parameters for smoke runs.
     Quick,
 }
 
 impl Scale {
-    /// Parse from `std::env::args`.
-    pub fn from_args() -> Scale {
-        if std::env::args().any(|a| a == "--quick") {
-            Scale::Quick
-        } else {
-            Scale::Full
-        }
-    }
-
     /// Pick a value by scale.
     pub fn pick<T>(self, full: T, quick: T) -> T {
         match self {
@@ -486,6 +313,8 @@ pub const TRANSMISSION_HEADERS: &[&str] = &[
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::{gate_limit, Family, Report};
+    use crate::json::Json;
     use crdt_lattice::ReplicaId;
     use crdt_types::{GSet, GSetOp};
 
@@ -520,12 +349,69 @@ mod tests {
     #[test]
     fn gate_limit_floors_zero_and_tiny_baselines() {
         // Zero baseline: the epsilon is the whole limit.
-        assert_eq!(gate_limit(0.0, 0.25, 256.0), 256.0);
+        assert_eq!(gate_limit(0.0, 256.0), 256.0);
         // Tiny integer baseline (1 convergence round): the floor keeps
         // ±1 absolute jitter from failing a 25% gate.
-        assert_eq!(gate_limit(1.0, 0.25, 2.0), 2.0);
+        assert_eq!(gate_limit(1.0, 2.0), 2.0);
         // Ordinary baselines gate multiplicatively.
-        assert_eq!(gate_limit(1000.0, 0.25, 256.0), 1250.0);
+        assert_eq!(gate_limit(1000.0, 256.0), 1250.0);
+    }
+
+    const TOY: Family = Family {
+        name: "toy",
+        schema: "bench-toy/v1",
+        key_fields: &["k"],
+        gated: &[("bytes", 256.0), ("convergence_rounds", 2.0)],
+        run: |_| Report::default(),
+    };
+
+    fn toy_row(fields: &[(&str, Json)]) -> Json {
+        let mut row = vec![
+            ("k".to_string(), Json::str("a")),
+            ("converged".to_string(), Json::Bool(true)),
+        ];
+        row.extend(fields.iter().map(|(k, v)| (k.to_string(), v.clone())));
+        Json::Obj(row)
+    }
+
+    #[test]
+    fn gate_fails_a_vanished_metric_but_skips_a_null_one() {
+        let base = [toy_row(&[
+            ("bytes", Json::num(1000)),
+            ("convergence_rounds", Json::num(3)),
+        ])];
+        // `bytes` renamed away in the current run: a violation, not a
+        // silent pass.
+        let renamed = [toy_row(&[
+            ("total_bytes", Json::num(1000)),
+            ("convergence_rounds", Json::num(3)),
+        ])];
+        let violations = TOY.violations(&renamed, &base);
+        assert_eq!(violations, ["k=a: bytes missing from current run"]);
+        // A null value is the one legitimate skip.
+        let null = [toy_row(&[
+            ("bytes", Json::num(1000)),
+            ("convergence_rounds", Json::Null),
+        ])];
+        assert!(TOY.violations(&null, &base).is_empty());
+        // A metric the baseline row never carried is not demanded.
+        assert!(TOY.violations(&base, &renamed).is_empty());
+    }
+
+    #[test]
+    fn every_failure_and_every_violation_is_reported() {
+        let report = Report {
+            rows: vec![toy_row(&[("bytes", Json::num(5000))])],
+            failures: vec!["a did not converge".into(), "b allocated".into()],
+            metrics_artifact: None,
+        };
+        let baseline = TOY.document(&[toy_row(&[("bytes", Json::num(1000))])], true);
+        let problems = TOY.problems(&report, Some(&baseline));
+        assert_eq!(problems.len(), 3, "{problems:?}");
+        assert_eq!(problems[..2], report.failures[..]);
+        assert!(problems[2].contains("bytes regressed"), "{problems:?}");
+        // Without a baseline only the invariants speak.
+        assert_eq!(TOY.problems(&report, None), report.failures);
     }
 
     #[test]
@@ -540,6 +426,7 @@ mod tests {
 
     #[test]
     fn scale_pick() {
+        assert_eq!(Scale::default(), Scale::Full);
         assert_eq!(Scale::Full.pick(100, 5), 100);
         assert_eq!(Scale::Quick.pick(100, 5), 5);
     }
@@ -547,6 +434,7 @@ mod tests {
 
 pub mod codec_bench;
 pub mod experiments;
+pub mod gate;
 pub mod json;
 pub mod merge_throughput;
 pub mod net_loopback;

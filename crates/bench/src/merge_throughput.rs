@@ -1,7 +1,5 @@
-//! The `merge_throughput` experiment family: the cost of the flat dot
-//! stores' hot loops — join, delta-apply, digest build, Merkle leaf
-//! rehash — with **deterministic allocation counts** as the gated
-//! metrics.
+//! The `merge` family: the allocation cost of the flat dot stores' hot
+//! loops — join, delta-apply, digest build, Merkle leaf rehash.
 //!
 //! The flat representation's contract is that steady-state
 //! synchronization stops allocating: joining an already-covered state
@@ -9,24 +7,23 @@
 //! serves the cached frame (a reference-count bump). This family pins
 //! both at **zero allocations** (`epsilon = 0`: any allocation fails
 //! the gate) and tracks the allocation budgets of the mutating paths.
-//! Wall-clock throughput columns ride along in the report for the
-//! artifact but are never gated — only allocation counts are
-//! deterministic across machines.
+//! How *fast* these loops run is `benchmark/`'s
+//! `lattice.join_ns_per_elem`, `core.digest_ns_per_elem` and
+//! `core.merkle_flush_ns_per_dirty_key`.
 //!
 //! `BENCH_merge.json` is gated in CI against
 //! `ci/bench-baseline/BENCH_merge.json`; rows whose producing binary
 //! lacked the counting allocator carry `"measured": false` and are
 //! dropped from both sides of the gate.
 
-use std::time::Instant;
-
 use crdt_lattice::{Lattice, ReplicaId, WireEncode};
 use crdt_sync::digest::Digest;
 use crdt_sync::MerkleTree;
 use crdt_types::AWSet;
 
+use crate::gate::{Args, Report};
 use crate::json::Json;
-use crate::{print_table, Scale};
+use crate::Scale;
 
 type Set = AWSet<u64>;
 
@@ -44,8 +41,6 @@ pub struct MergeRow {
     pub elements: usize,
     /// Allocations joining a disjoint same-sized state.
     pub join_fresh_allocs: u64,
-    /// Join throughput, million dots/s (artifact only, never gated).
-    pub join_fresh_mdots: f64,
     /// Allocations joining an already-covered state — the steady-state
     /// anti-entropy case. Must be **zero**.
     pub join_unchanged_allocs: u64,
@@ -58,12 +53,8 @@ pub struct MergeRow {
     pub encode_cached_allocs: u64,
     /// Allocations building a §VI digest of the state.
     pub digest_allocs: u64,
-    /// Digest throughput, million dots/s (artifact only).
-    pub digest_mdots: f64,
     /// Allocations rehashing [`DIRTY_KEYS`] dirty Merkle leaves.
     pub merkle_rehash_allocs: u64,
-    /// Merkle flush latency, nanoseconds (artifact only).
-    pub merkle_flush_ns: f64,
     /// Were allocations actually counted (counting allocator installed
     /// in the producing binary)?
     pub measured: bool,
@@ -90,18 +81,12 @@ fn build_set(n: usize, first_writer: u32, offset: u64) -> Set {
     s
 }
 
-/// Million operations per second for `ops` items in `elapsed`.
-fn mops(ops: u64, elapsed: std::time::Duration) -> f64 {
-    ops as f64 / elapsed.as_secs_f64().max(1e-12) / 1e6
-}
-
 /// Measure every hot loop at one state size.
 pub fn run_one(n: usize) -> MergeRow {
     let measured = testkit_alloc::is_installed();
     let base = build_set(n, 0, 0);
 
-    // Fresh join: disjoint same-sized states, allocations on one run,
-    // wall clock on an identically built second run.
+    // Fresh join: disjoint same-sized states.
     let mut target = base.clone();
     let other = build_set(n, WRITERS, 1 << 32);
     let (merged, join_stats) = testkit_alloc::measure(move || {
@@ -111,11 +96,6 @@ pub fn run_one(n: usize) -> MergeRow {
         );
         target
     });
-    let mut timing_target = base.clone();
-    let timing_other = build_set(n, WRITERS, 1 << 32);
-    let start = Instant::now();
-    timing_target.join_assign(timing_other);
-    let join_fresh_mdots = mops(2 * n as u64, start.elapsed());
 
     // Covered join: the steady-state anti-entropy case. The incoming
     // clone happens outside the window; the join itself must detect
@@ -148,12 +128,7 @@ pub fn run_one(n: usize) -> MergeRow {
     assert_eq!(frame.as_ref(), frame2.as_ref(), "cached frame diverged");
 
     // Digest build (§VI repair handshake's per-object summary).
-    let start = Instant::now();
-    let timing_digest = Digest::of(&merged);
-    let digest_elapsed = start.elapsed();
-    let (digest, digest_stats) = testkit_alloc::measure(|| Digest::of(&merged));
-    assert_eq!(digest.len(), timing_digest.len());
-    let digest_mdots = mops(digest.len() as u64, digest_elapsed);
+    let (_, digest_stats) = testkit_alloc::measure(|| Digest::of(&merged));
 
     // Merkle leaf rehash: a keyspace-sized tree with DIRTY_KEYS touched
     // objects, flushed through a cheap hash closure (the per-object
@@ -165,67 +140,28 @@ pub fn run_one(n: usize) -> MergeRow {
     for i in 0..DIRTY_KEYS {
         tree.touch((i * stride) % n as u64);
     }
-    let start = Instant::now();
     let ((_root, tree), merkle_stats) = testkit_alloc::measure(move || {
         let root = tree.flush(|k| Some(k.wrapping_mul(0x9e37_79b9).rotate_left(17)));
         (root, tree)
     });
-    let merkle_flush_ns = start.elapsed().as_nanos() as f64;
     assert!(!tree.has_dirty(), "flush must rehash every dirty leaf");
 
     MergeRow {
         elements: n,
         join_fresh_allocs: join_stats.allocations,
-        join_fresh_mdots,
         join_unchanged_allocs: unchanged_stats.allocations,
         delta_apply_allocs: delta_stats.allocations,
         encode_fresh_allocs: encode_fresh_stats.allocations,
         encode_cached_allocs: encode_cached_stats.allocations,
         digest_allocs: digest_stats.allocations,
-        digest_mdots,
         merkle_rehash_allocs: merkle_stats.allocations,
-        merkle_flush_ns,
         measured,
     }
 }
 
-/// Run the size ladder at `scale`, printing the summary table.
+/// Run the size ladder at `scale`.
 pub fn run_suite(scale: Scale) -> Vec<MergeRow> {
-    let mut rows = Vec::new();
-    let mut table = Vec::new();
-    for n in sizes(scale) {
-        let r = run_one(n);
-        table.push(vec![
-            r.elements.to_string(),
-            r.join_fresh_allocs.to_string(),
-            r.join_unchanged_allocs.to_string(),
-            r.delta_apply_allocs.to_string(),
-            r.encode_fresh_allocs.to_string(),
-            r.encode_cached_allocs.to_string(),
-            r.digest_allocs.to_string(),
-            r.merkle_rehash_allocs.to_string(),
-            format!("{:.1}", r.join_fresh_mdots),
-            if r.measured { "yes" } else { "NO" }.to_string(),
-        ]);
-        rows.push(r);
-    }
-    print_table(
-        "merge_throughput (allocations per operation; Mdots/s artifact-only)",
-        &[
-            "elements",
-            "join fresh",
-            "join unchanged",
-            "delta apply",
-            "encode fresh",
-            "encode cached",
-            "digest",
-            "merkle rehash",
-            "join Mdots/s",
-            "measured",
-        ],
-        &table,
-    );
-    rows
+    sizes(scale).into_iter().map(run_one).collect()
 }
 
 /// The in-binary acceptance bar: steady state must not allocate.
@@ -233,37 +169,32 @@ pub fn run_suite(scale: Scale) -> Vec<MergeRow> {
 /// Joining an already-covered state and re-encoding an unmutated state
 /// are the per-round hot loops of a converged cluster; the flat layout
 /// exists so both cost zero allocations. Only enforced when the
-/// counting allocator is installed.
-pub fn assert_steady_state_alloc_free(rows: &[MergeRow]) -> Result<(), String> {
-    for r in rows {
-        if !r.measured {
-            continue;
-        }
-        if r.join_unchanged_allocs != 0 {
-            return Err(format!(
-                "{} elements: covered join allocated {} times (must be 0)",
-                r.elements, r.join_unchanged_allocs
-            ));
-        }
-        if r.encode_cached_allocs != 0 {
-            return Err(format!(
-                "{} elements: cached encode allocated {} times (must be 0)",
-                r.elements, r.encode_cached_allocs
-            ));
+/// counting allocator is installed. Returns every breach.
+pub fn steady_state_failures(rows: &[MergeRow]) -> Vec<String> {
+    let mut failures = Vec::new();
+    for r in rows.iter().filter(|r| r.measured) {
+        for (what, allocs) in [
+            ("covered join", r.join_unchanged_allocs),
+            ("cached encode", r.encode_cached_allocs),
+        ] {
+            if allocs != 0 {
+                failures.push(format!(
+                    "{} elements: {what} allocated {allocs} times (must be 0)",
+                    r.elements
+                ));
+            }
         }
     }
-    Ok(())
+    failures
 }
 
-/// Render rows as the `BENCH_merge.json` document.
-pub fn report_to_json(rows: &[MergeRow], quick: bool) -> Json {
-    let results = rows
-        .iter()
+/// Render rows as the `BENCH_merge.json` rows.
+pub fn rows_json(rows: &[MergeRow]) -> Vec<Json> {
+    rows.iter()
         .map(|r| {
             Json::Obj(vec![
                 ("elements".into(), Json::num(r.elements as u64)),
                 ("join_fresh_allocs".into(), Json::num(r.join_fresh_allocs)),
-                ("join_fresh_mdots".into(), Json::Num(r.join_fresh_mdots)),
                 (
                     "join_unchanged_allocs".into(),
                     Json::num(r.join_unchanged_allocs),
@@ -278,89 +209,52 @@ pub fn report_to_json(rows: &[MergeRow], quick: bool) -> Json {
                     Json::num(r.encode_cached_allocs),
                 ),
                 ("digest_allocs".into(), Json::num(r.digest_allocs)),
-                ("digest_mdots".into(), Json::Num(r.digest_mdots)),
                 (
                     "merkle_rehash_allocs".into(),
                     Json::num(r.merkle_rehash_allocs),
                 ),
-                ("merkle_flush_ns".into(), Json::Num(r.merkle_flush_ns)),
                 ("measured".into(), Json::Bool(r.measured)),
                 ("converged".into(), Json::Bool(true)),
             ])
         })
-        .collect();
-    Json::Obj(vec![
-        ("schema".into(), Json::str("bench-merge/v1")),
-        ("quick".into(), Json::Bool(quick)),
-        ("results".into(), Json::Arr(results)),
-    ])
+        .collect()
 }
 
-/// Write the JSON report to `path`.
-pub fn write_report(path: &str, rows: &[MergeRow], quick: bool) -> std::io::Result<()> {
-    std::fs::write(path, report_to_json(rows, quick).pretty())
-}
-
-/// Gated metrics: allocation counts only (wall clock is never gated).
-/// The two steady-state counts carry `epsilon = 0` — a zero baseline
-/// with a zero floor means **any** allocation fails the gate — while
-/// the mutating paths get small absolute floors per
-/// [`crate::gate_limit`].
-const GATED: [(&str, f64); 7] = [
-    ("join_fresh_allocs", 64.0),
-    ("join_unchanged_allocs", 0.0),
-    ("delta_apply_allocs", 16.0),
-    ("encode_fresh_allocs", 16.0),
-    ("encode_cached_allocs", 0.0),
-    ("digest_allocs", 64.0),
-    ("merkle_rehash_allocs", 64.0),
-];
-
-/// Compare a current report to the checked-in baseline. Rows match on
-/// `elements`; unmeasured rows are dropped from both sides first, so a
-/// current run that stopped measuring against a measured baseline fails
-/// as "missing" rather than silently passing.
-pub fn check_regression(current: &Json, baseline: &Json, tolerance: f64) -> Vec<String> {
-    let strip = |doc: &Json| -> Json {
-        let rows = doc
-            .get("results")
-            .and_then(Json::as_array)
-            .map(|rows| {
-                rows.iter()
-                    .filter(|r| r.get("measured").and_then(Json::as_bool) != Some(false))
-                    .cloned()
-                    .collect::<Vec<_>>()
-            })
-            .unwrap_or_default();
-        Json::Obj(vec![("results".into(), Json::Arr(rows))])
-    };
-    crate::check_regression_gate(
-        &strip(current),
-        &strip(baseline),
-        tolerance,
-        &["elements"],
-        &GATED,
-    )
+/// `perf merge`: the size ladder plus the steady-state bar.
+pub fn run(args: &Args) -> Report {
+    let rows = run_suite(args.scale);
+    Report {
+        rows: rows_json(&rows),
+        failures: steady_state_failures(&rows),
+        metrics_artifact: None,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// One quick-scale point: well-formed report, steady-state bar
+    /// One quick-scale point: well-formed rows, steady-state bar
     /// holds, self-compared gate passes. (The library test binary has
     /// no counting allocator, so rows carry `measured: false` and the
     /// alloc bar is vacuous here — the bin enforces it for real.)
     #[test]
     fn quick_point_reports_and_gates() {
         let rows = vec![run_one(512)];
-        assert_steady_state_alloc_free(&rows).expect("steady-state bar");
-        let doc = report_to_json(&rows, true);
-        assert_eq!(
-            doc.get("schema").and_then(Json::as_str),
-            Some("bench-merge/v1")
-        );
-        let violations = check_regression(&doc, &doc, 0.25);
+        assert!(steady_state_failures(&rows).is_empty());
+        let json = rows_json(&rows);
+        let violations = crate::gate::family("merge")
+            .unwrap()
+            .violations(&json, &json);
         assert!(violations.is_empty(), "{violations:?}");
+
+        // The bar reports both breaches of a measured row, not the first.
+        let mut bad = rows[0].clone();
+        (
+            bad.measured,
+            bad.join_unchanged_allocs,
+            bad.encode_cached_allocs,
+        ) = (true, 3, 1);
+        assert_eq!(steady_state_failures(&[bad]).len(), 2);
     }
 }

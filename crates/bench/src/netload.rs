@@ -1,7 +1,7 @@
-//! The `netload` experiment family: load generation against the
-//! event-driven `crdt-net` reactor.
+//! The `netload` family: the event-driven `crdt-net` reactor under
+//! deterministic load.
 //!
-//! Four stages, one JSON report (`BENCH_netload.json`):
+//! Three stages, one JSON report (`BENCH_netload.json`):
 //!
 //! 1. **lockstep** (per protocol, *gated*) — a seeded Zipf update
 //!    workload driven through a lockstep [`LoopbackCluster`]. The drain
@@ -12,22 +12,14 @@
 //!    same-destination batches; the thaw must fold them into a single
 //!    `BatchEnvelope` frame. Frame counts and the coalescing ratio are
 //!    deterministic.
-//! 3. **openloop** (*artifact only*) — an open-loop client swarm
-//!    (target ops/s, Zipf keys, latency measured from the scheduled
-//!    send time so coordinated omission cannot hide stalls) against a
-//!    live node. Wall-clock throughput and p50/p99/p999 are
-//!    machine-dependent and never gated.
-//! 4. **c10k** (*artifact only*, asserted in-binary) — one node
-//!    holding 1,000+ concurrent client connections, every one of them
-//!    served, with zero bad frames. `--require-c10k` turns a shortfall
-//!    into a non-zero exit for CI.
+//! 3. **c10k** (asserted in-binary, no row) — one node holding 1,000+
+//!    concurrent client connections, every one of them served, with
+//!    zero bad frames. `--require-c10k` turns a shortfall into a
+//!    failure for CI.
 //!
-//! Baseline discipline: the checked-in baseline contains **only** the
-//! deterministic lockstep and coalesce rows. [`check_regression`]
-//! iterates baseline rows, so the nondeterministic stages are exempt by
-//! construction — same convention as wall-clock columns elsewhere.
-
-use std::time::{Duration, Instant};
+//! Latency and throughput under open-loop load are `benchmark/`'s
+//! `visibility_p50_us`/`p99_us` and `update_ops_per_s` on the
+//! `retwis30k-tcp` and `hot64-tcp` workloads.
 
 use crdt_lattice::ReplicaId;
 use crdt_net::framing::DEFAULT_MAX_FRAME_BYTES;
@@ -39,8 +31,9 @@ use delta_store::StoreConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::gate::{or_default, Args, Report};
 use crate::json::Json;
-use crate::{print_table, Scale};
+use crate::Scale;
 
 type Key = u64;
 type Val = GSet<u64>;
@@ -57,12 +50,6 @@ pub struct LoadShape {
     pub zipf_s: f64,
     /// Updates per node in the lockstep stage.
     pub ops_per_node: usize,
-    /// Open-loop swarm: client threads.
-    pub swarm: usize,
-    /// Open-loop swarm: target operations per second (all threads).
-    pub target_ops: u64,
-    /// Open-loop swarm: operations to schedule in total.
-    pub total_ops: u64,
     /// Concurrent connections for the c10k stage.
     pub connections: usize,
 }
@@ -76,9 +63,6 @@ impl LoadShape {
                 keys: 32,
                 zipf_s: 1.0,
                 ops_per_node: 48,
-                swarm: 8,
-                target_ops: 2_000,
-                total_ops: 4_000,
                 connections: 1_200,
             },
             Scale::Quick => LoadShape {
@@ -86,9 +70,6 @@ impl LoadShape {
                 keys: 16,
                 zipf_s: 1.0,
                 ops_per_node: 24,
-                swarm: 4,
-                target_ops: 1_000,
-                total_ops: 1_000,
                 connections: 1_100,
             },
         }
@@ -135,8 +116,6 @@ pub struct LockstepOutcome {
     /// Frames eliminated by write-side coalescing (0 in lockstep: the
     /// eager flush keeps queues empty — pinned by the baseline).
     pub coalesced: u64,
-    /// Wall-clock ops/s through the socket clients (artifact only).
-    pub ops_per_sec: u64,
     /// Node 0's full metrics exposition at convergence (artifact only —
     /// written out by `--metrics-out`).
     pub metrics: String,
@@ -148,12 +127,10 @@ pub fn run_lockstep(kind: ProtocolKind, shape: &LoadShape) -> LockstepOutcome {
     let cfg = NodeConfig::new(StoreConfig::new(kind), shape.nodes);
     let mut net: LoopbackCluster<Key, Val> =
         LoopbackCluster::full_mesh(shape.nodes, cfg).expect("spawn loopback cluster");
-    let start = Instant::now();
     for (node, key, op) in &ops {
         net.update(*node, *key, op);
     }
     let report = net.run_until_converged(48);
-    let elapsed = start.elapsed();
     let stats = net.stats();
     let wire = net.wire_totals();
     let probes = net.probes();
@@ -171,22 +148,8 @@ pub fn run_lockstep(kind: ProtocolKind, shape: &LoadShape) -> LockstepOutcome {
         wire_bytes: wire.bytes,
         stalls,
         coalesced,
-        ops_per_sec: (ops.len() as f64 / elapsed.as_secs_f64().max(1e-9)) as u64,
         metrics,
     }
-}
-
-/// Render the per-protocol lockstep metric expositions as one text
-/// artifact: a `=== <protocol> ===` header per row, exposition lines
-/// below.
-pub fn metrics_artifact(report: &NetloadReport) -> String {
-    let mut out = String::new();
-    for o in &report.lockstep {
-        out.push_str(&format!("=== {} (node 0, lockstep) ===\n", o.protocol));
-        out.push_str(&o.metrics);
-        out.push('\n');
-    }
-    out
 }
 
 /// Coalescing stage measurements (all deterministic, gated).
@@ -234,121 +197,6 @@ pub fn run_coalesce() -> CoalesceOutcome {
     }
 }
 
-/// Open-loop swarm measurements (wall-clock, artifact only).
-#[derive(Debug, Clone)]
-pub struct OpenLoopOutcome {
-    /// Client threads.
-    pub swarm: usize,
-    /// Target operations per second.
-    pub target_ops: u64,
-    /// Operations completed.
-    pub completed: u64,
-    /// Operations that failed (any error is a red flag).
-    pub errors: u64,
-    /// Achieved operations per second.
-    pub achieved_ops: u64,
-    /// Latency percentiles in microseconds, from the *scheduled* send
-    /// time (open-loop: a stalled server inflates these, as it should).
-    pub p50_us: u64,
-    /// 99th percentile latency (µs).
-    pub p99_us: u64,
-    /// 99.9th percentile latency (µs).
-    pub p999_us: u64,
-    /// Backpressure stall transitions observed at the node.
-    pub stalls: u64,
-}
-
-/// Drive an open-loop update/get swarm against one live node.
-pub fn run_openloop(shape: &LoadShape) -> OpenLoopOutcome {
-    let node: NodeHandle<Key, Val> = NodeHandle::spawn(
-        ReplicaId(0),
-        NodeConfig::new(StoreConfig::new(ProtocolKind::BpRr), 1),
-    )
-    .expect("spawn node");
-    let addr = node.addr();
-    let swarm = shape.swarm.max(1);
-    let per_thread = (shape.total_ops / swarm as u64).max(1);
-    let interval = Duration::from_secs_f64(swarm as f64 / shape.target_ops as f64);
-    let start = Instant::now() + Duration::from_millis(5);
-    let deadline = start + Duration::from_secs(30);
-
-    let workers: Vec<_> = (0..swarm)
-        .map(|t| {
-            let keys = shape.keys;
-            let zipf_s = shape.zipf_s;
-            std::thread::spawn(move || -> (u64, u64, Vec<u64>) {
-                let zipf = Zipf::new(keys, zipf_s);
-                let mut rng = StdRng::seed_from_u64(0xF00D + t as u64);
-                let mut client: Client = match NetClient::connect(addr, DEFAULT_MAX_FRAME_BYTES) {
-                    Ok(c) => c,
-                    Err(_) => return (0, per_thread, Vec::new()),
-                };
-                let mut latencies = Vec::with_capacity(per_thread as usize);
-                let (mut done, mut errors) = (0u64, 0u64);
-                for i in 0..per_thread {
-                    // Open-loop: op i is *scheduled*, not paced by the
-                    // previous reply.
-                    let scheduled =
-                        start + interval * (i as u32) + interval / swarm as u32 * t as u32;
-                    while Instant::now() < scheduled {
-                        std::thread::sleep(Duration::from_micros(50));
-                    }
-                    if Instant::now() > deadline {
-                        errors += per_thread - i;
-                        break;
-                    }
-                    let key = zipf.sample(&mut rng) as u64;
-                    let ok = if i % 4 == 3 {
-                        client.get(key).is_ok()
-                    } else {
-                        client
-                            .update(key, &GSetOp::Add((t as u64) << 32 | i))
-                            .is_ok()
-                    };
-                    if ok {
-                        done += 1;
-                        latencies.push(scheduled.elapsed().as_micros() as u64);
-                    } else {
-                        errors += 1;
-                    }
-                }
-                (done, errors, latencies)
-            })
-        })
-        .collect();
-
-    let mut latencies: Vec<u64> = Vec::new();
-    let (mut completed, mut errors) = (0u64, 0u64);
-    for w in workers {
-        let (done, errs, lats) = w.join().expect("swarm thread panicked");
-        completed += done;
-        errors += errs;
-        latencies.extend(lats);
-    }
-    let elapsed = start.elapsed();
-    latencies.sort_unstable();
-    let pct = |p: f64| -> u64 {
-        if latencies.is_empty() {
-            return 0;
-        }
-        let idx = ((latencies.len() as f64 * p).ceil() as usize).clamp(1, latencies.len());
-        latencies[idx - 1]
-    };
-    let stalls = node.probe_local().stall_events;
-    node.shutdown_untyped();
-    OpenLoopOutcome {
-        swarm,
-        target_ops: shape.target_ops,
-        completed,
-        errors,
-        achieved_ops: (completed as f64 / elapsed.as_secs_f64().max(1e-9)) as u64,
-        p50_us: pct(0.50),
-        p99_us: pct(0.99),
-        p999_us: pct(0.999),
-        stalls,
-    }
-}
-
 /// C10K stage measurements.
 #[derive(Debug, Clone)]
 pub struct C10kOutcome {
@@ -363,8 +211,6 @@ pub struct C10kOutcome {
     pub errors: u64,
     /// Undecodable frames at the node (must be 0).
     pub bad_frames: u64,
-    /// Wall-clock of the whole stage, artifact only.
-    pub wall_ms: u64,
 }
 
 /// Hold `shape.connections` concurrent clients against one node, serve
@@ -377,7 +223,6 @@ pub fn run_c10k(shape: &LoadShape) -> C10kOutcome {
     )
     .expect("spawn node");
     node.update(1, &GSetOp::Add(42));
-    let start = Instant::now();
     let mut clients: Vec<Client> = Vec::with_capacity(shape.connections);
     let mut errors = 0u64;
     for _ in 0..shape.connections {
@@ -398,7 +243,6 @@ pub fn run_c10k(shape: &LoadShape) -> C10kOutcome {
     let concurrent = node.live_connections();
     let bad_frames = node.probe_local().bad_frames;
     drop(clients);
-    let wall_ms = start.elapsed().as_millis() as u64;
     node.shutdown_untyped();
     C10kOutcome {
         target: shape.connections,
@@ -406,7 +250,6 @@ pub fn run_c10k(shape: &LoadShape) -> C10kOutcome {
         served,
         errors,
         bad_frames,
-        wall_ms,
     }
 }
 
@@ -417,86 +260,31 @@ pub struct NetloadReport {
     pub lockstep: Vec<LockstepOutcome>,
     /// The coalescing outcome (gated).
     pub coalesce: CoalesceOutcome,
-    /// The open-loop swarm outcome (artifact).
-    pub openloop: OpenLoopOutcome,
-    /// The c10k outcome (artifact + in-binary assertion).
+    /// The c10k outcome (in-binary assertion, no row).
     pub c10k: C10kOutcome,
 }
 
-/// Run the whole family, printing progress tables.
-pub fn run_family(scale: Scale, kinds: &[ProtocolKind], shape: &LoadShape) -> NetloadReport {
-    let lockstep: Vec<LockstepOutcome> = kinds.iter().map(|&k| run_lockstep(k, shape)).collect();
-    print_table(
-        &format!(
-            "netload lockstep ({} nodes, {} zipf({}) ops/node)",
-            shape.nodes, shape.ops_per_node, shape.zipf_s
-        ),
-        &[
-            "protocol", "rounds", "messages", "bytes", "frames", "wire B", "ops/s",
-        ],
-        &lockstep
-            .iter()
-            .map(|o| {
-                vec![
-                    o.protocol.name().to_string(),
-                    if o.converged {
-                        o.rounds.to_string()
-                    } else {
-                        "NO".to_string()
-                    },
-                    o.messages.to_string(),
-                    (o.payload_bytes + o.metadata_bytes).to_string(),
-                    o.frames.to_string(),
-                    o.wire_bytes.to_string(),
-                    o.ops_per_sec.to_string(),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-
+/// Run the whole family; the c10k stage has no row, so its result is
+/// printed here.
+pub fn run_family(kinds: &[ProtocolKind], shape: &LoadShape) -> NetloadReport {
+    let lockstep = kinds.iter().map(|&k| run_lockstep(k, shape)).collect();
     let coalesce = run_coalesce();
-    println!(
-        "\ncoalesce: {} queued batches -> {} frames at thaw ({} folded, {} wire B, ratio {:.2})",
-        coalesce.backlog,
-        coalesce.frames_flushed,
-        coalesce.coalesced,
-        coalesce.wire_bytes,
-        coalesce.backlog as f64 / coalesce.frames_flushed.max(1) as f64,
-    );
-
-    let openloop = run_openloop(shape);
-    println!(
-        "openloop: {} threads @ {} ops/s target -> {} ops/s achieved ({} ops, {} errors), \
-         p50 {} µs / p99 {} µs / p999 {} µs, {} stalls",
-        openloop.swarm,
-        openloop.target_ops,
-        openloop.achieved_ops,
-        openloop.completed,
-        openloop.errors,
-        openloop.p50_us,
-        openloop.p99_us,
-        openloop.p999_us,
-        openloop.stalls,
-    );
-
     let c10k = run_c10k(shape);
     println!(
-        "c10k: {}/{} concurrent connections, {} served, {} errors, {} bad frames, {} ms",
-        c10k.concurrent, c10k.target, c10k.served, c10k.errors, c10k.bad_frames, c10k.wall_ms,
+        "c10k: {}/{} concurrent connections, {} served, {} errors, {} bad frames",
+        c10k.concurrent, c10k.target, c10k.served, c10k.errors, c10k.bad_frames,
     );
-    let _ = scale;
     NetloadReport {
         lockstep,
         coalesce,
-        openloop,
         c10k,
     }
 }
 
-/// Render the report as the `BENCH_netload.json` document. Rows are
-/// keyed `(protocol, stage)`; only `lockstep` and `coalesce` rows carry
-/// gated metrics.
-pub fn report_to_json(report: &NetloadReport, quick: bool) -> Json {
+/// Render the report as the `BENCH_netload.json` rows, keyed
+/// `(protocol, stage)`: one `lockstep` row per protocol, then the
+/// `coalesce` row.
+pub fn rows_json(report: &NetloadReport) -> Vec<Json> {
     let mut rows: Vec<Json> = report
         .lockstep
         .iter()
@@ -517,8 +305,6 @@ pub fn report_to_json(report: &NetloadReport, quick: bool) -> Json {
                 ("wire_bytes".into(), Json::num(o.wire_bytes)),
                 ("stalls".into(), Json::num(o.stalls)),
                 ("coalesced_frames".into(), Json::num(o.coalesced)),
-                // Wall-clock throughput rides along, never gated.
-                ("ops_per_sec".into(), Json::num(o.ops_per_sec)),
             ])
         })
         .collect();
@@ -536,94 +322,51 @@ pub fn report_to_json(report: &NetloadReport, quick: bool) -> Json {
             Json::Num(c.backlog as f64 / c.frames_flushed.max(1) as f64),
         ),
     ]));
-    let o = &report.openloop;
-    rows.push(Json::Obj(vec![
-        ("protocol".into(), Json::str("bp_rr")),
-        ("stage".into(), Json::str("openloop")),
-        ("converged".into(), Json::Bool(o.errors == 0)),
-        ("swarm".into(), Json::num(o.swarm as u64)),
-        ("target_ops_per_sec".into(), Json::num(o.target_ops)),
-        ("completed".into(), Json::num(o.completed)),
-        ("errors".into(), Json::num(o.errors)),
-        ("achieved_ops_per_sec".into(), Json::num(o.achieved_ops)),
-        ("p50_us".into(), Json::num(o.p50_us)),
-        ("p99_us".into(), Json::num(o.p99_us)),
-        ("p999_us".into(), Json::num(o.p999_us)),
-        ("stalls".into(), Json::num(o.stalls)),
-    ]));
-    let k = &report.c10k;
-    rows.push(Json::Obj(vec![
-        ("protocol".into(), Json::str("bp_rr")),
-        ("stage".into(), Json::str("c10k")),
-        (
-            "converged".into(),
-            Json::Bool(k.errors == 0 && k.bad_frames == 0),
-        ),
-        ("target_connections".into(), Json::num(k.target as u64)),
-        ("concurrent_connections".into(), Json::num(k.concurrent)),
-        ("served".into(), Json::num(k.served)),
-        ("errors".into(), Json::num(k.errors)),
-        ("bad_frames".into(), Json::num(k.bad_frames)),
-        ("wall_ms".into(), Json::num(k.wall_ms)),
-    ]));
-    Json::Obj(vec![
-        ("schema".into(), Json::str("bench-netload/v1")),
-        ("quick".into(), Json::Bool(quick)),
-        ("results".into(), Json::Arr(rows)),
-    ])
+    rows
 }
 
-/// Strip the report down to its deterministic rows — what belongs in
-/// `ci/bench-baseline/BENCH_netload.json`. Baseline rows drive the
-/// gate, so keeping wall-clock stages out of the file is what exempts
-/// them.
-pub fn baseline_json(report: &NetloadReport, quick: bool) -> Json {
-    let full = report_to_json(report, quick);
-    let rows: Vec<Json> = full
-        .get("results")
-        .and_then(Json::as_array)
-        .unwrap_or(&[])
+/// The in-binary invariants: every lockstep protocol converges, the
+/// coalesce stage folds its backlog, and — when `require_c10k` — the
+/// c10k stage held ≥ 1,000 live connections with zero errors and zero
+/// bad frames. Returns every breach.
+pub fn invariant_failures(report: &NetloadReport, require_c10k: bool) -> Vec<String> {
+    let mut failures: Vec<String> = report
+        .lockstep
         .iter()
-        .filter(|r| {
-            matches!(
-                r.get("stage").and_then(Json::as_str),
-                Some("lockstep") | Some("coalesce")
-            )
-        })
-        .cloned()
+        .filter(|o| !o.converged)
+        .map(|o| format!("{} lockstep stage did not converge", o.protocol))
         .collect();
-    Json::Obj(vec![
-        ("schema".into(), Json::str("bench-netload/v1")),
-        ("quick".into(), Json::Bool(quick)),
-        ("results".into(), Json::Arr(rows)),
-    ])
+    if report.coalesce.coalesced == 0 {
+        failures.push(format!(
+            "thawing a {}-frame backlog folded nothing",
+            report.coalesce.backlog
+        ));
+    }
+    let k = &report.c10k;
+    if require_c10k && (k.concurrent < 1_000 || k.errors > 0 || k.bad_frames > 0) {
+        failures.push(format!(
+            "c10k bar not met — {} concurrent (need ≥ 1000), {} errors, {} bad frames",
+            k.concurrent, k.errors, k.bad_frames
+        ));
+    }
+    failures
 }
 
-/// Compare a current report against the checked-in baseline. Rows match
-/// on `(protocol, stage)`; gated metrics are the deterministic
-/// byte/frame/coalescing ones, with the shared [`crate::gate_limit`]
-/// epsilons (byte metrics floor 256 B, counts floor 8, rounds floor 2).
-/// `stalls` and `coalesced_frames` are gated too: lockstep traffic must
-/// stay stall-free and un-coalesced (the eager flush keeps queues
-/// empty), and the coalesce stage must keep folding its backlog.
-pub fn check_regression(current: &Json, baseline: &Json, tolerance: f64) -> Vec<String> {
-    crate::check_regression_gate(
-        current,
-        baseline,
-        tolerance,
-        &["protocol", "stage"],
-        &[
-            ("messages", 8.0),
-            ("payload_bytes", 256.0),
-            ("metadata_bytes", 256.0),
-            ("total_bytes", 256.0),
-            ("frames", 2.0),
-            ("wire_bytes", 256.0),
-            ("rounds", 2.0),
-            ("stalls", 0.0),
-            ("coalesced_frames", 8.0),
-        ],
-    )
+/// `perf netload`: every selected kind (default all) through the three
+/// stages.
+pub fn run(args: &Args) -> Report {
+    let kinds = or_default(&args.protocols, &ProtocolKind::ALL);
+    let report = run_family(&kinds, &LoadShape::new(args.scale));
+    Report {
+        rows: rows_json(&report),
+        failures: invariant_failures(&report, args.require_c10k),
+        metrics_artifact: Some(crate::gate::metrics_artifact(
+            report
+                .lockstep
+                .iter()
+                .map(|o| (o.protocol, o.metrics.as_str())),
+        )),
+    }
 }
 
 #[cfg(test)]
@@ -631,7 +374,7 @@ mod tests {
     use super::*;
 
     /// A tiny end-to-end pass: deterministic stages produce the pinned
-    /// numbers, the JSON is well-formed, and a self-compared gate holds.
+    /// numbers, the invariants hold, and a self-compared gate holds.
     #[test]
     fn deterministic_stages_pin_their_metrics() {
         let shape = LoadShape {
@@ -639,9 +382,6 @@ mod tests {
             keys: 8,
             zipf_s: 1.0,
             ops_per_node: 12,
-            swarm: 2,
-            target_ops: 400,
-            total_ops: 100,
             connections: 64,
         };
         let a = run_lockstep(ProtocolKind::BpRr, &shape);
@@ -675,26 +415,20 @@ mod tests {
         let report = NetloadReport {
             lockstep: vec![a],
             coalesce: c,
-            openloop: run_openloop(&shape),
             c10k: run_c10k(&shape),
         };
         assert_eq!(report.c10k.errors, 0);
         assert_eq!(report.c10k.concurrent, shape.connections as u64);
-        let doc = report_to_json(&report, true);
-        assert_eq!(
-            doc.get("schema").and_then(Json::as_str),
-            Some("bench-netload/v1")
-        );
-        let baseline = baseline_json(&report, true);
-        assert_eq!(
-            baseline
-                .get("results")
-                .and_then(Json::as_array)
-                .map(<[Json]>::len),
-            Some(2),
-            "baseline keeps only the deterministic rows"
-        );
-        let violations = check_regression(&doc, &baseline, 0.25);
+        assert!(invariant_failures(&report, false).is_empty());
+        let c10k_miss = invariant_failures(&report, true);
+        assert_eq!(c10k_miss.len(), 1, "64 connections miss the bar");
+        assert!(c10k_miss[0].contains("c10k"), "{c10k_miss:?}");
+
+        let rows = rows_json(&report);
+        assert_eq!(rows.len(), 2, "one lockstep row and the coalesce row");
+        let violations = crate::gate::family("netload")
+            .unwrap()
+            .violations(&rows, &rows);
         assert!(violations.is_empty(), "{violations:?}");
     }
 }

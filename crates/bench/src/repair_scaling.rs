@@ -1,4 +1,4 @@
-//! The `repair_scaling` experiment family: how pairwise anti-entropy
+//! The `repair` family: how pairwise anti-entropy
 //! cost scales with the **number of diverged objects**, not the
 //! keyspace size.
 //!
@@ -23,8 +23,9 @@ use crdt_sync::{diff_keys, ProtocolKind};
 use crdt_types::{GSet, GSetOp};
 use delta_store::{Cluster, StoreConfig};
 
+use crate::gate::{Args, Report};
 use crate::json::Json;
-use crate::{print_table, Scale};
+use crate::Scale;
 
 type Key = u64;
 type Val = GSet<u32>;
@@ -140,43 +141,12 @@ pub fn run_one(scale: Scale, d: usize) -> RepairOutcome {
     }
 }
 
-/// Run the ladder at `scale`, printing the comparison table.
+/// Run the divergence ladder at `scale`.
 pub fn run_suite(scale: Scale) -> Vec<RepairOutcome> {
-    let n = keyspace(scale);
-    let mut outcomes = Vec::new();
-    let mut rows = Vec::new();
-    for d in divergence_ladder(n) {
-        let o = run_one(scale, d);
-        rows.push(vec![
-            o.diverged.to_string(),
-            o.descent_rounds.to_string(),
-            o.descent_frames.to_string(),
-            (o.control_bytes + o.leaf_bytes).to_string(),
-            o.merkle_metadata_bytes.to_string(),
-            o.digest_metadata_bytes.to_string(),
-            format!(
-                "{:.1}×",
-                o.digest_metadata_bytes as f64 / o.merkle_metadata_bytes.max(1) as f64
-            ),
-            if o.converged { "yes" } else { "NO" }.to_string(),
-        ]);
-        outcomes.push(o);
-    }
-    print_table(
-        &format!("repair_scaling ({n} objects, 2 replicas, bp_rr)"),
-        &[
-            "diverged",
-            "rounds",
-            "frames",
-            "descent B",
-            "merkle meta B",
-            "digest meta B",
-            "saving",
-            "ok",
-        ],
-        &rows,
-    );
-    outcomes
+    divergence_ladder(keyspace(scale))
+        .into_iter()
+        .map(|d| run_one(scale, d))
+        .collect()
 }
 
 /// The in-binary acceptance bar: localization must actually pay off.
@@ -188,27 +158,30 @@ pub fn run_suite(scale: Scale) -> Vec<RepairOutcome> {
 ///   the divergence (descent frames + scoped digests), not the object
 ///   count — pinned as merkle metadata ≤ digest metadata / 4 even
 ///   though the digest cost is Θ(keyspace).
-pub fn assert_sublinear(outcomes: &[RepairOutcome]) -> Result<(), String> {
+///
+/// Returns every breach.
+pub fn sublinear_failures(outcomes: &[RepairOutcome]) -> Vec<String> {
+    let mut failures = Vec::new();
     for o in outcomes {
         if !o.converged {
-            return Err(format!(
+            failures.push(format!(
                 "{} diverged objects: repair did not converge",
                 o.diverged
             ));
         }
         if o.diverged * 100 <= o.keyspace && o.merkle_metadata_bytes * 4 > o.digest_metadata_bytes {
-            return Err(format!(
+            failures.push(format!(
                 "{} of {} diverged: merkle metadata {} B not 4× under digest {} B",
                 o.diverged, o.keyspace, o.merkle_metadata_bytes, o.digest_metadata_bytes
             ));
         }
     }
-    Ok(())
+    failures
 }
 
-/// Render outcomes as the `BENCH_repair.json` document.
-pub fn report_to_json(outcomes: &[RepairOutcome], quick: bool) -> Json {
-    let results = outcomes
+/// Render outcomes as the `BENCH_repair.json` rows.
+pub fn rows_json(outcomes: &[RepairOutcome]) -> Vec<Json> {
+    outcomes
         .iter()
         .map(|o| {
             Json::Obj(vec![
@@ -240,59 +213,38 @@ pub fn report_to_json(outcomes: &[RepairOutcome], quick: bool) -> Json {
                 ),
             ])
         })
-        .collect();
-    Json::Obj(vec![
-        ("schema".into(), Json::str("bench-repair/v1")),
-        ("quick".into(), Json::Bool(quick)),
-        ("results".into(), Json::Arr(results)),
-    ])
+        .collect()
 }
 
-/// Write the JSON report to `path`.
-pub fn write_report(path: &str, outcomes: &[RepairOutcome], quick: bool) -> std::io::Result<()> {
-    std::fs::write(path, report_to_json(outcomes, quick).pretty())
-}
-
-/// Compare a current report against a checked-in baseline.
-///
-/// Rows match on `(keyspace, diverged)`. Every gated metric is
-/// deterministic (lockstep in-process repair); floors per
-/// [`crate::gate_limit`]: byte metrics 256 B, frame/message counts 8.
-pub fn check_regression(current: &Json, baseline: &Json, tolerance: f64) -> Vec<String> {
-    crate::check_regression_gate(
-        current,
-        baseline,
-        tolerance,
-        &["keyspace", "diverged"],
-        &[
-            ("descent_frames", 8.0),
-            ("control_bytes", 256.0),
-            ("leaf_bytes", 256.0),
-            ("merkle_messages", 8.0),
-            ("merkle_metadata_bytes", 256.0),
-            ("merkle_payload_bytes", 256.0),
-            ("digest_messages", 8.0),
-            ("digest_metadata_bytes", 256.0),
-        ],
-    )
+/// `perf repair`: the divergence ladder plus the sublinearity bar.
+pub fn run(args: &Args) -> Report {
+    let outcomes = run_suite(args.scale);
+    Report {
+        rows: rows_json(&outcomes),
+        failures: sublinear_failures(&outcomes),
+        metrics_artifact: None,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// One small quick-scale point: well-formed report, sublinearity
-    /// bar holds, self-compared gate passes.
+    /// One small quick-scale point: sublinearity bar holds,
+    /// self-compared gate passes.
     #[test]
     fn quick_point_reports_and_gates() {
         let outcomes = vec![run_one(Scale::Quick, 1), run_one(Scale::Quick, 10)];
-        assert_sublinear(&outcomes).expect("sublinearity bar");
-        let doc = report_to_json(&outcomes, true);
-        assert_eq!(
-            doc.get("schema").and_then(Json::as_str),
-            Some("bench-repair/v1")
-        );
-        let violations = check_regression(&doc, &doc, 0.25);
+        assert_eq!(sublinear_failures(&outcomes), Vec::<String>::new());
+        let rows = rows_json(&outcomes);
+        let violations = crate::gate::family("repair")
+            .unwrap()
+            .violations(&rows, &rows);
         assert!(violations.is_empty(), "{violations:?}");
+
+        // Both breaches of one outcome are reported, not the first.
+        let mut bad = outcomes[0].clone();
+        (bad.converged, bad.merkle_metadata_bytes) = (false, bad.digest_metadata_bytes);
+        assert_eq!(sublinear_failures(&[bad]).len(), 2);
     }
 }

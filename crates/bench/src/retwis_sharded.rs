@@ -12,14 +12,12 @@
 //! * **batch amortization** — per-object envelopes per wire frame: the
 //!   frame count is O(links) per round, *independent of object count*,
 //!   which is what makes the granularity deployable;
-//! * **speedup vs sequential** — critical-path time at `threads = 1`
-//!   over critical-path time at `threads = t` (comparable by
-//!   construction: both are per-phase busiest-worker sums, never a
-//!   wall-clock quantity against a cross-thread total).
+//! * **thread invariance** — the same accounting at every `--threads`
+//!   count, so one baseline covers them all.
 //!
-//! Deterministic metrics (bytes, elements, frames, envelopes) are gated
-//! against `ci/bench-baseline/BENCH_retwis_sharded.json`; timing fields
-//! ride along in the JSON as artifacts and are never gated.
+//! The JSON rows hold the deterministic metrics only (bytes, elements,
+//! frames, envelopes), gated against
+//! `ci/bench-baseline/BENCH_retwis_sharded.json`.
 
 use crdt_lattice::SizeModel;
 use crdt_sim::{NetworkConfig, RunMetrics, ShardedEngineRunner, Topology};
@@ -27,8 +25,9 @@ use crdt_sync::ProtocolKind;
 use crdt_types::GSet;
 use crdt_workloads::{RetwisConfig, RetwisTrace, Timeline, UserId, Wall};
 
+use crate::gate::{or_default, Args, Report};
 use crate::json::Json;
-use crate::{fmt_bytes, fmt_ratio, print_table, Scale};
+use crate::Scale;
 
 /// One `(protocol, zipf, threads)` measurement.
 #[derive(Debug, Clone)]
@@ -65,17 +64,6 @@ pub struct ShardedRow {
     /// Transmission per node per metric round (workload + convergence
     /// tail — see [`ShardedRow::metric_rounds`]).
     pub bytes_per_round_per_node: u64,
-    /// Summed protocol work (nanoseconds; wall-clock, artifact only).
-    pub cpu_nanos: u64,
-    /// Critical-path time (nanoseconds; wall-clock, artifact only).
-    pub critical_path_nanos: u64,
-    /// Driver overhead drawing/routing ops (nanoseconds, artifact only).
-    pub workload_nanos: u64,
-    /// `critical_path(baseline) / critical_path(this row)` for the same
-    /// (protocol, zipf), where the baseline is the `threads == 1` row
-    /// when measured (regardless of `--threads` order), else the lowest
-    /// thread count; 1.0 for the baseline row itself.
-    pub speedup_vs_seq: f64,
     /// Did every family converge?
     pub converged: bool,
 }
@@ -145,6 +133,9 @@ pub fn run_retwis(
     run
 }
 
+/// The Zipf coefficients swept: the paper's range.
+pub const ZIPFS: [f64; 3] = [0.5, 1.0, 1.5];
+
 /// Run the sweep: `kinds` × `zipfs` × `threads_list` over one
 /// deterministic trace per zipf point. Scale: quick = 10 nodes / 300
 /// users / 8 rounds; full = 50 nodes / 10 000 users (30 K objects) / 30
@@ -170,7 +161,6 @@ pub fn run_retwis_sharded(
     for &zipf in zipfs {
         let trace = RetwisTrace::generate(RetwisConfig { zipf, ..cfg_base }, topo.len(), rounds);
         for &kind in kinds {
-            let mut group = Vec::with_capacity(threads_list.len());
             for &threads in threads_list {
                 let run = run_retwis(&trace, kind, &topo, threads, topo.diameter() * 4 + 16);
                 let node0 = crdt_lattice::ReplicaId(0);
@@ -179,8 +169,7 @@ pub fn run_retwis_sharded(
                     + run.timelines.objects_at(node0);
                 let converged = run.convergence_rounds.is_some();
                 let metrics = run.metrics();
-                let critical = metrics.total_critical_path_nanos().max(1);
-                group.push(ShardedRow {
+                rows.push(ShardedRow {
                     protocol: kind,
                     zipf,
                     threads,
@@ -196,73 +185,17 @@ pub fn run_retwis_sharded(
                     bytes_per_round_per_node: metrics.total_bytes()
                         / (metrics.rounds.len().max(1) as u64)
                         / (topo.len() as u64),
-                    cpu_nanos: metrics.total_cpu_nanos(),
-                    critical_path_nanos: critical,
-                    workload_nanos: metrics.total_workload_nanos(),
-                    speedup_vs_seq: 1.0, // filled in below, once the group is complete
                     converged,
                 });
             }
-            // The sequential baseline is the `threads == 1` run when
-            // present (whatever its position in `--threads` order),
-            // else the lowest thread count measured.
-            let baseline = group
-                .iter()
-                .find(|r| r.threads == 1)
-                .or_else(|| group.iter().min_by_key(|r| r.threads))
-                .map(|r| r.critical_path_nanos)
-                .unwrap_or(1);
-            for row in &mut group {
-                row.speedup_vs_seq = baseline as f64 / row.critical_path_nanos as f64;
-            }
-            rows.extend(group);
         }
     }
     rows
 }
 
-/// Print the sweep as one table per zipf point.
-pub fn print_report(rows: &[ShardedRow]) {
-    let mut zipfs: Vec<f64> = rows.iter().map(|r| r.zipf).collect();
-    zipfs.dedup();
-    for &zipf in &zipfs {
-        let table: Vec<Vec<String>> = rows
-            .iter()
-            .filter(|r| r.zipf == zipf)
-            .map(|r| {
-                vec![
-                    r.protocol.name().to_string(),
-                    r.threads.to_string(),
-                    r.objects.to_string(),
-                    fmt_bytes(r.bytes_per_round_per_node),
-                    r.frames.to_string(),
-                    fmt_ratio(r.amortization),
-                    fmt_ratio(r.speedup_vs_seq),
-                    if r.converged { "yes" } else { "NO" }.to_string(),
-                ]
-            })
-            .collect();
-        print_table(
-            &format!("retwis_sharded (zipf {zipf:.2}): per-object engines, batched frames"),
-            &[
-                "protocol",
-                "threads",
-                "objects/node",
-                "bytes/round/node",
-                "frames",
-                "amortization",
-                "speedup vs seq",
-                "converged",
-            ],
-            &table,
-        );
-    }
-}
-
-/// Render rows as the `BENCH_retwis_sharded.json` document.
-pub fn report_to_json(rows: &[ShardedRow], quick: bool) -> Json {
-    let results = rows
-        .iter()
+/// Render rows as the `BENCH_retwis_sharded.json` rows.
+pub fn rows_json(rows: &[ShardedRow]) -> Vec<Json> {
+    rows.iter()
         .map(|r| {
             Json::Obj(vec![
                 ("protocol".into(), Json::str(r.protocol.id())),
@@ -282,86 +215,36 @@ pub fn report_to_json(rows: &[ShardedRow], quick: bool) -> Json {
                     "bytes_per_round_per_node".into(),
                     Json::num(r.bytes_per_round_per_node),
                 ),
-                ("cpu_nanos".into(), Json::num(r.cpu_nanos)),
-                (
-                    "critical_path_nanos".into(),
-                    Json::num(r.critical_path_nanos),
-                ),
-                ("workload_nanos".into(), Json::num(r.workload_nanos)),
-                ("speedup_vs_seq".into(), Json::Num(r.speedup_vs_seq)),
                 ("converged".into(), Json::Bool(r.converged)),
             ])
         })
-        .collect();
-    Json::Obj(vec![
-        ("schema".into(), Json::str("bench-retwis-sharded/v1")),
-        ("quick".into(), Json::Bool(quick)),
-        ("results".into(), Json::Arr(results)),
-    ])
+        .collect()
 }
 
-/// Write the JSON report to `path`.
-pub fn write_report(path: &str, rows: &[ShardedRow], quick: bool) -> std::io::Result<()> {
-    std::fs::write(path, report_to_json(rows, quick).pretty())
-}
-
-/// Gated metrics with their absolute limit floors (see
-/// [`crate::gate_limit`]). Only deterministic quantities — the timing
-/// fields are wall-clock and never gated.
-const GATED: [(&str, f64); 4] = [
-    ("total_bytes", 256.0),
-    ("total_elements", 16.0),
-    ("frames", 4.0),
-    ("envelopes", 16.0),
-];
-
-/// Compare a current report against a checked-in baseline: every
-/// baseline `(protocol, zipf, threads)` row must exist, have converged,
-/// and keep each [`GATED`] metric within `(1 + tolerance)×` of the
-/// baseline, floored by the metric's absolute epsilon (zero and tiny
-/// baselines — see [`crate::gate_limit`]). Improvements always pass.
-/// Returns violations.
-pub fn check_regression(current: &Json, baseline: &Json, tolerance: f64) -> Vec<String> {
-    crate::check_regression_gate(
-        current,
-        baseline,
-        tolerance,
-        &["protocol", "zipf", "threads"],
-        &GATED,
-    )
-}
-
-/// Parse repeatable `--threads <n>` flags; `default` when none given.
-pub fn threads_from_args(default: &[usize]) -> Vec<usize> {
-    numeric_flags("--threads", default, |v| v.parse::<usize>().ok())
-}
-
-/// Parse repeatable `--zipf <s>` flags; `default` when none given.
-pub fn zipfs_from_args(default: &[f64]) -> Vec<f64> {
-    numeric_flags("--zipf", default, |v| v.parse::<f64>().ok())
-}
-
-fn numeric_flags<T: Copy>(name: &str, default: &[T], parse: impl Fn(&str) -> Option<T>) -> Vec<T> {
-    let args: Vec<String> = std::env::args().collect();
-    let mut values = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == name {
-            let parsed = args.get(i + 1).and_then(|v| parse(v));
-            let Some(v) = parsed else {
-                eprintln!("error: {name} needs a numeric value");
-                std::process::exit(2);
-            };
-            values.push(v);
-            i += 2;
-        } else {
-            i += 1;
-        }
+/// `perf retwis_sharded`: `--protocol` (default classic vs BP+RR, the
+/// Fig. 11/12 comparison) × [`ZIPFS`] × `--threads` (default 1, 4, 8).
+/// Every point must converge.
+pub fn run(args: &Args) -> Report {
+    let kinds = or_default(
+        &args.protocols,
+        &[ProtocolKind::Classic, ProtocolKind::BpRr],
+    );
+    let threads = or_default(&args.threads, &[1, 4, 8]);
+    let rows = run_retwis_sharded(args.scale, &kinds, &ZIPFS, &threads);
+    Report {
+        rows: rows_json(&rows),
+        failures: rows
+            .iter()
+            .filter(|r| !r.converged)
+            .map(|r| {
+                format!(
+                    "{} did not converge (zipf {}, threads {})",
+                    r.protocol, r.zipf, r.threads
+                )
+            })
+            .collect(),
+        metrics_artifact: None,
     }
-    if values.is_empty() {
-        values.extend_from_slice(default);
-    }
-    values
 }
 
 #[cfg(test)]
@@ -418,7 +301,6 @@ mod tests {
             assert_eq!(t1.total_bytes, t4.total_bytes, "{kind}");
             assert_eq!(t1.frames, t4.frames, "{kind}");
             assert_eq!(t1.envelopes, t4.envelopes, "{kind}");
-            assert!((t1.speedup_vs_seq - 1.0).abs() < 1e-12, "{kind}");
         }
         // Zipf 1.0 contention: classic must transmit more than BP+RR.
         assert!(
@@ -429,21 +311,22 @@ mod tests {
 
     #[test]
     fn report_roundtrips_and_gates() {
+        use crate::gate::{family, results};
+        let family = family("retwis_sharded").unwrap();
         let rows = tiny_rows();
-        let json = report_to_json(&rows, true);
-        let back = Json::parse(&json.pretty()).unwrap();
+        let json = rows_json(&rows);
+        let back = Json::parse(&family.document(&json, true).pretty()).unwrap();
         assert_eq!(
             back.get("schema").unwrap().as_str(),
             Some("bench-retwis-sharded/v1")
         );
-        assert!(check_regression(&back, &json, 0.25).is_empty());
+        assert!(family.violations(results(&back), &json).is_empty());
 
         // A doubled-bytes current run fails; a missing row fails.
         let mut worse = rows.clone();
         worse[0].total_bytes *= 2;
         worse.remove(1);
-        let current = report_to_json(&worse, true);
-        let violations = check_regression(&current, &json, 0.25);
+        let violations = family.violations(&rows_json(&worse), &json);
         assert!(violations.iter().any(|v| v.contains("total_bytes")));
         assert!(violations.iter().any(|v| v.contains("missing")));
     }

@@ -1,67 +1,34 @@
 //! The `scenarios` experiment family: the BP/RR ablation extended into
 //! fault regimes the paper never measured.
 //!
-//! Each scenario (see the table in the crate docs) drives every requested
+//! Each scenario (table below) drives every requested
 //! [`ProtocolKind`] through the same fault schedule on the paper's
 //! partial-mesh topology with the unique-adds GSet workload, and records
 //! a [`ScenarioOutcome`] per protocol: convergence rounds, bytes to
 //! re-converge, out-of-band repair traffic, staleness windows. Results
-//! are printed as tables and emitted as `BENCH_scenarios.json`
-//! ([`write_report`]); [`check_regression`] gates CI against a checked-in
-//! baseline.
+//! are emitted as `BENCH_scenarios.json`, gated in CI against `ci/bench-baseline/BENCH_scenarios.json`.
+//!
+//! | scenario | shape | what it stresses |
+//! |---|---|---|
+//! | `partition_heal` | cluster splits in half at ¼ of the run, heals at ¾ | staleness windows, repair traffic vs. built-in recovery |
+//! | `churn` | durable crash/restart + non-durable crash/restart + a join | bootstrap cost, stale-ack/vector handling after cold restarts |
+//! | `flapping_link` | one edge flaps lossy (drop+dup+reorder) three times | loss tolerance: acked/anti-entropy self-heal, delta family needs repair |
+//! | `rolling_restart` | every node durably restarted, one at a time | steady-state recovery cost of operational maintenance |
 //!
 //! Everything here is **deterministic** — seeded RNG, round-based clock —
 //! so the JSON is machine-comparable across runs and machines, which is
-//! what makes a checked-in baseline meaningful (wall-clock benchmarks
-//! like `engine_overhead` are uploaded as artifacts instead of gated).
+//! what makes a checked-in baseline meaningful.
 
 use crdt_lattice::{ReplicaId, SizeModel};
 use crdt_sim::{run_scenario, NetworkConfig, ScenarioOutcome, ScenarioSchedule, Topology};
 use crdt_sync::ProtocolKind;
 use crdt_types::{GSet, GSetOp};
 
+use crate::gate::{or_default, Args, Report};
 use crate::json::Json;
-use crate::{fmt_bytes, print_table, Scale};
+use crate::Scale;
 
-/// Scenario names accepted by `--scenario` (plus `all`).
-pub const SCENARIO_NAMES: [&str; 4] = ScenarioSchedule::BUILTIN_NAMES;
-
-/// Parse every `--scenario <name>` flag (repeatable; `all` selects the
-/// whole suite); `default` when none given. Unknown names print the
-/// accepted set and exit with status 2.
-pub fn scenarios_from_args(default: &[&str]) -> Vec<String> {
-    let args: Vec<String> = std::env::args().collect();
-    let mut names = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--scenario" {
-            let Some(value) = args.get(i + 1) else {
-                eprintln!("error: --scenario needs a value");
-                std::process::exit(2);
-            };
-            if value == "all" {
-                names.extend(SCENARIO_NAMES.iter().map(|s| s.to_string()));
-            } else if SCENARIO_NAMES.contains(&value.as_str()) {
-                names.push(value.clone());
-            } else {
-                eprintln!(
-                    "error: unknown scenario {value:?} (expected `all` or one of: {})",
-                    SCENARIO_NAMES.join(", ")
-                );
-                std::process::exit(2);
-            }
-            i += 2;
-        } else {
-            i += 1;
-        }
-    }
-    if names.is_empty() {
-        names.extend(default.iter().map(|s| s.to_string()));
-    }
-    names
-}
-
-/// Run `scenarios` × `kinds` at `scale`, printing one table per scenario.
+/// Run `scenarios` × `kinds` at `scale`.
 pub fn run_scenario_suite(
     scale: Scale,
     scenarios: &[String],
@@ -73,14 +40,13 @@ pub fn run_scenario_suite(
     for name in scenarios {
         let schedule =
             ScenarioSchedule::builtin(name, n, rounds).expect("scenario names are pre-validated");
-        let mut rows = Vec::new();
         for &kind in kinds {
             // A fresh deterministic workload per protocol: every kind
             // sees the identical operation stream.
             let mut workload = |node: ReplicaId, round: usize| {
                 vec![((), GSetOp::Add((round * 64 + node.index()) as u64))]
             };
-            let outcome = run_scenario::<(), GSet<u64>>(
+            outcomes.push(run_scenario::<(), GSet<u64>>(
                 kind,
                 Topology::partial_mesh(n, 4),
                 &schedule,
@@ -88,42 +54,15 @@ pub fn run_scenario_suite(
                 SizeModel::compact(),
                 1,
                 &mut workload,
-            );
-            rows.push(vec![
-                kind.name().to_string(),
-                outcome
-                    .convergence_rounds
-                    .map_or("NEVER".to_string(), |r| r.to_string()),
-                fmt_bytes(outcome.total_bytes),
-                fmt_bytes(outcome.bytes_to_reconverge),
-                fmt_bytes(outcome.repair_bytes),
-                outcome.staleness_rounds.to_string(),
-                outcome.max_staleness_window.to_string(),
-                outcome.undeliverable.to_string(),
-            ]);
-            outcomes.push(outcome);
+            ));
         }
-        print_table(
-            &format!("Scenario `{name}` ({n} nodes, {rounds} rounds, mesh deg 4)"),
-            &[
-                "protocol",
-                "conv rounds",
-                "total bytes",
-                "reconverge bytes",
-                "repair bytes",
-                "stale rounds",
-                "max window",
-                "dropped",
-            ],
-            &rows,
-        );
     }
     outcomes
 }
 
-/// Render outcomes as the `BENCH_scenarios.json` document.
-pub fn report_to_json(outcomes: &[ScenarioOutcome], quick: bool) -> Json {
-    let results = outcomes
+/// Render outcomes as the `BENCH_scenarios.json` rows.
+pub fn rows_json(outcomes: &[ScenarioOutcome]) -> Vec<Json> {
+    outcomes
         .iter()
         .map(|o| {
             Json::Obj(vec![
@@ -162,50 +101,35 @@ pub fn report_to_json(outcomes: &[ScenarioOutcome], quick: bool) -> Json {
                 ("final_nodes".into(), Json::num(o.final_nodes as u64)),
             ])
         })
-        .collect();
-    Json::Obj(vec![
-        ("schema".into(), Json::str("bench-scenarios/v1")),
-        ("quick".into(), Json::Bool(quick)),
-        ("results".into(), Json::Arr(results)),
-    ])
+        .collect()
 }
 
-/// Write the JSON report to `path`.
-pub fn write_report(path: &str, outcomes: &[ScenarioOutcome], quick: bool) -> std::io::Result<()> {
-    std::fs::write(path, report_to_json(outcomes, quick).pretty())
-}
-
-/// Compare a current report against a checked-in baseline.
-///
-/// For every `(scenario, protocol)` row of the baseline, the current run
-/// must (a) exist, (b) have converged, and (c) keep the gated metrics —
-/// `total_bytes`, `bytes_to_reconverge`, `repair_bytes`, and
-/// `convergence_rounds` — within `(1 + tolerance)×` of the baseline,
-/// floored by a per-metric absolute epsilon (see [`crate::gate_limit`]):
-/// zero baselines would otherwise flag any non-zero current value — or,
-/// in ratio form, divide by zero — and several metrics are legitimately
-/// zero (the self-healing kinds report zero repair bytes; full-mesh
-/// scenarios converge in zero extra rounds), while tiny integer
-/// baselines (1 convergence round) would fail on harmless ±1 jitter.
-/// Improvements always pass; returns the list of violations.
-pub fn check_regression(current: &Json, baseline: &Json, tolerance: f64) -> Vec<String> {
-    crate::check_regression_gate(
-        current,
-        baseline,
-        tolerance,
-        &["scenario", "protocol"],
-        &[
-            ("total_bytes", 256.0),
-            ("bytes_to_reconverge", 256.0),
-            ("repair_bytes", 256.0),
-            ("convergence_rounds", 2.0),
-        ],
-    )
+/// `perf scenarios`: `--scenario` (default `partition_heal`) ×
+/// `--protocol` (default all). Every kind must re-converge under every
+/// schedule.
+pub fn run(args: &Args) -> Report {
+    let scenarios = or_default(&args.scenarios, &["partition_heal".to_string()]);
+    let kinds = or_default(&args.protocols, &ProtocolKind::ALL);
+    let outcomes = run_scenario_suite(args.scale, &scenarios, &kinds);
+    Report {
+        rows: rows_json(&outcomes),
+        failures: outcomes
+            .iter()
+            .filter(|o| !o.converged)
+            .map(|o| format!("{} did not re-converge under `{}`", o.protocol, o.scenario))
+            .collect(),
+        metrics_artifact: None,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::{family, results, Family};
+
+    fn gate() -> &'static Family {
+        family("scenarios").unwrap()
+    }
 
     fn quick_outcomes() -> Vec<ScenarioOutcome> {
         run_scenario_suite(
@@ -220,50 +144,30 @@ mod tests {
         let outcomes = quick_outcomes();
         assert_eq!(outcomes.len(), 2);
         assert!(outcomes.iter().all(|o| o.converged));
-        let json = report_to_json(&outcomes, true);
-        let text = json.pretty();
+        let text = gate().document(&rows_json(&outcomes), true).pretty();
         let back = Json::parse(&text).unwrap();
         assert_eq!(
             back.get("schema").unwrap().as_str(),
             Some("bench-scenarios/v1")
         );
-        assert_eq!(back.get("results").unwrap().as_array().unwrap().len(), 2);
+        assert_eq!(results(&back).len(), 2);
     }
 
     #[test]
     fn identical_reports_pass_the_gate() {
-        let outcomes = quick_outcomes();
-        let json = report_to_json(&outcomes, true);
-        assert!(check_regression(&json, &json, 0.25).is_empty());
+        let rows = rows_json(&quick_outcomes());
+        assert!(gate().violations(&rows, &rows).is_empty());
     }
 
     #[test]
     fn regressions_and_missing_rows_fail_the_gate() {
-        let outcomes = quick_outcomes();
-        let baseline = report_to_json(&outcomes, true);
+        let mut outcomes = quick_outcomes();
+        let baseline = rows_json(&outcomes);
         // Current run with total_bytes inflated 2× on the first row, and
         // the second row deleted.
-        let mut rows = baseline
-            .get("results")
-            .unwrap()
-            .as_array()
-            .unwrap()
-            .to_vec();
-        rows.truncate(1);
-        if let Json::Obj(fields) = &mut rows[0] {
-            for (k, v) in fields.iter_mut() {
-                if k == "total_bytes" {
-                    let doubled = v.as_f64().unwrap() * 2.0;
-                    *v = Json::Num(doubled);
-                }
-            }
-        }
-        let current = Json::Obj(vec![
-            ("schema".into(), Json::str("bench-scenarios/v1")),
-            ("quick".into(), Json::Bool(true)),
-            ("results".into(), Json::Arr(rows)),
-        ]);
-        let violations = check_regression(&current, &baseline, 0.25);
+        outcomes.truncate(1);
+        outcomes[0].total_bytes *= 2;
+        let violations = gate().violations(&rows_json(&outcomes), &baseline);
         assert_eq!(violations.len(), 2, "{violations:?}");
         assert!(violations.iter().any(|v| v.contains("total_bytes")));
         assert!(violations.iter().any(|v| v.contains("missing")));
@@ -278,32 +182,25 @@ mod tests {
         let outcomes = quick_outcomes();
         let sb = outcomes
             .iter()
-            .find(|o| o.protocol == ProtocolKind::Scuttlebutt)
+            .position(|o| o.protocol == ProtocolKind::Scuttlebutt)
             .unwrap();
-        assert_eq!(sb.repair_bytes, 0, "precondition: self-healing baseline");
-        let baseline = report_to_json(&outcomes, true);
+        assert_eq!(
+            outcomes[sb].repair_bytes, 0,
+            "precondition: self-healing baseline"
+        );
+        let baseline = rows_json(&outcomes);
 
         // Within the epsilon: passes.
         let mut nudged = outcomes.clone();
-        nudged
-            .iter_mut()
-            .find(|o| o.protocol == ProtocolKind::Scuttlebutt)
-            .unwrap()
-            .repair_bytes = 200;
-        let current = report_to_json(&nudged, true);
+        nudged[sb].repair_bytes = 200;
         assert!(
-            check_regression(&current, &baseline, 0.25).is_empty(),
+            gate().violations(&rows_json(&nudged), &baseline).is_empty(),
             "≤ epsilon over a zero baseline is not a regression"
         );
 
         // Beyond the epsilon: a real regression, caught.
-        nudged
-            .iter_mut()
-            .find(|o| o.protocol == ProtocolKind::Scuttlebutt)
-            .unwrap()
-            .repair_bytes = 10_000;
-        let current = report_to_json(&nudged, true);
-        let violations = check_regression(&current, &baseline, 0.25);
+        nudged[sb].repair_bytes = 10_000;
+        let violations = gate().violations(&rows_json(&nudged), &baseline);
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert!(violations[0].contains("repair_bytes"), "{violations:?}");
     }
@@ -311,14 +208,14 @@ mod tests {
     #[test]
     fn improvements_pass_the_gate() {
         let outcomes = quick_outcomes();
-        let current = report_to_json(&outcomes, true);
         // A baseline that was strictly worse.
         let mut worse = outcomes.clone();
         for o in &mut worse {
             o.total_bytes *= 3;
             o.bytes_to_reconverge *= 3;
         }
-        let baseline = report_to_json(&worse, true);
-        assert!(check_regression(&current, &baseline, 0.25).is_empty());
+        assert!(gate()
+            .violations(&rows_json(&outcomes), &rows_json(&worse))
+            .is_empty());
     }
 }

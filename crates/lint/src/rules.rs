@@ -75,9 +75,9 @@ pub fn epoch_file_in_scope(rel: &str, scope: Scope) -> bool {
 }
 
 /// Determinism scope: modules whose numbers land in gated deterministic
-/// metrics. Runner/bench timing modules and the socket runtime are the
-/// explicit allow-by-path complement — everything NOT listed here may
-/// read clocks freely (their columns are artifact-only).
+/// metrics. The sim drivers' timing columns and the socket runtime are
+/// the explicit allow-by-path complement — everything NOT listed here
+/// may read clocks freely (their columns are artifact-only).
 fn determinism_in_scope(rel: &str, scope: Scope) -> bool {
     if scope.force {
         return true;
@@ -95,6 +95,9 @@ fn determinism_in_scope(rel: &str, scope: Scope) -> bool {
         "crates/core/src/",
         "crates/store/src/",
         "crates/workloads/src/",
+        // bench: every report is seed-determined; `benchmark/` owns
+        // every timed number.
+        "crates/bench/src/",
     ];
     const DENY_FILES: &[&str] = &[
         // sim: accounting + fault model are deterministic; the two
@@ -105,27 +108,12 @@ fn determinism_in_scope(rel: &str, scope: Scope) -> bool {
         "crates/sim/src/network.rs",
         "crates/sim/src/topology.rs",
         "crates/sim/src/scenario.rs",
-        // bench: report plumbing + gated experiment rows; the
-        // throughput harnesses (codec_bench, merge_throughput,
-        // net_loopback, netload) are artifact-only timing modules.
-        "crates/bench/src/lib.rs",
-        "crates/bench/src/json.rs",
-        "crates/bench/src/experiments.rs",
-        "crates/bench/src/scenarios.rs",
-        "crates/bench/src/repair_scaling.rs",
-        "crates/bench/src/retwis_sharded.rs",
         // net: frame grammar and message codecs feed byte accounting;
         // node/reactor/cluster own real sockets and real clocks.
         "crates/net/src/framing.rs",
         "crates/net/src/message.rs",
     ];
-    DENY_FILES.contains(&rel)
-        || DENY_DIRS.iter().any(|d| {
-            rel.starts_with(d)
-                && !rel.starts_with("crates/sim/")
-                && !rel.starts_with("crates/bench/")
-                && !rel.starts_with("crates/net/")
-        })
+    DENY_FILES.contains(&rel) || DENY_DIRS.iter().any(|d| rel.starts_with(d))
 }
 
 // ------------------------------------------------------------- rule: panic
@@ -907,6 +895,14 @@ impl<E> AWSet<E> {
         let mut out = Vec::new();
         check_determinism(&denied, REPO, &mut out);
         assert_eq!(out.len(), 1);
+
+        let bench = sf(
+            "crates/bench/src/netload.rs",
+            "fn t() { let s = Instant::now(); }",
+        );
+        out.clear();
+        check_determinism(&bench, REPO, &mut out);
+        assert_eq!(out.len(), 1, "the bench crate is denied as a directory");
 
         let exempt = sf(
             "crates/sim/src/runner.rs",

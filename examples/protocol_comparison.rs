@@ -15,10 +15,8 @@
 //! the deployment path, selected per run like a `--protocol` flag in a
 //! real cluster — no per-protocol monomorphization in this binary.
 
-use crdt_bench::{
-    print_table, protocols_from_args, run_dyn_suite, transmission_rows_vs_best,
-    TRANSMISSION_HEADERS,
-};
+use crdt_bench::gate::{or_default, Args};
+use crdt_bench::{print_table, run_dyn_suite, transmission_rows_vs_best, TRANSMISSION_HEADERS};
 use crdt_lattice::SizeModel;
 use crdt_sim::Topology;
 use crdt_sync::ProtocolKind;
@@ -26,7 +24,7 @@ use crdt_types::GSet;
 use crdt_workloads::GSetWorkload;
 
 fn main() {
-    let kinds = protocols_from_args(&ProtocolKind::ALL);
+    let kinds = or_default(&Args::from_env().protocols, &ProtocolKind::ALL);
     let events = 30;
     for topo in [Topology::binary_tree(15), Topology::partial_mesh(15, 4)] {
         let n = topo.len();

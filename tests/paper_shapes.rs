@@ -1,6 +1,7 @@
 //! Shape assertions for every figure of the paper, at smoke scale:
 //! who wins, roughly by how much, and where the crossovers fall. These are
-//! the claims EXPERIMENTS.md records at full scale; here they gate CI.
+//! the claims `all_experiments` prints at full scale (see its section in
+//! ARCHITECTURE.md); here they gate CI.
 
 use crdt_bench::{find, run_suite, Suite};
 use crdt_lattice::SizeModel;
