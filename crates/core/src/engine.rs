@@ -33,11 +33,10 @@ use std::marker::PhantomData;
 use std::str::FromStr;
 
 use crdt_lattice::codec::{get_uvarint, put_uvarint};
-use crdt_lattice::{CodecError, ReplicaId, SizeModel, WireEncode};
+use crdt_lattice::{BufferPool, Bytes, CodecError, ReplicaId, SizeModel, WireEncode};
 use crdt_types::Crdt;
 
 use crate::acked::AckedDeltaSync;
-use crate::bytes::{BufferPool, Bytes};
 use crate::delta::{BpDelta, BpRrDelta, ClassicDelta, RrDelta};
 use crate::opbased::OpBased;
 use crate::proto::{Measured, MemoryUsage, Params, Protocol};

@@ -82,7 +82,6 @@
 
 mod acked;
 mod buffer;
-pub mod bytes;
 mod delta;
 mod deltacrdt;
 pub mod digest;
@@ -97,7 +96,7 @@ mod wire;
 
 pub use acked::{AckedDeltaSync, AckedMsg};
 pub use buffer::{DeltaBuffer, Entry, Origin};
-pub use bytes::{BufferPool, Bytes};
+pub use crdt_lattice::{BufferPool, Bytes};
 pub use delta::{BpDelta, BpRrDelta, ClassicDelta, DeltaConfig, DeltaMsg, DeltaSync, RrDelta};
 pub use deltacrdt::{
     DeltaCrdt, DeltaCrdtMsg, DeltaCrdtSmallLog, DeltaCrdtSync, DEFAULT_LOG_CAPACITY,

@@ -21,34 +21,26 @@
 //!   `Δ(a,b) = ⊔{ p ∈ ⇓a | p ⋢ b }` automatically ships exactly the new
 //!   events plus the removals the peer hasn't applied yet.
 //!
-//! ## Flat representation
+//! This module holds the [`CausalContext`] and the three types whose
+//! store is a plain `Dot ↪ V` ([`DotFun`]): [`AWSet`] (add-wins set),
+//! [`EWFlag`] (enable-wins flag) and [`CCounter`] (a resettable causal
+//! counter). The lattice itself — join, decomposition, optimal delta,
+//! wire encoding, cached frames — is [`Causal`], defined once for every
+//! store shape in [`crate::dotstores`]; all three run unchanged under
+//! every synchronization protocol in `crdt-sync`, including BP+RR.
 //!
-//! State is stored *flat*: the causal context is sorted, coalesced
+//! The context is stored *flat*: sorted, coalesced
 //! `(replica, start, len)` runs in one contiguous buffer
-//! ([`crate::flat::DotRuns`]) and the dot store is a dot-sorted
-//! `Vec<(Dot, V)>`. Joins and delta application are linear two-pointer
-//! merges preceded by a no-allocation change-detection scan, so joining
-//! an already-covered delta allocates nothing. Each state also carries a
-//! mutation epoch + cached wire frame ([`crate::flat::StateTag`]):
-//! encoding an unmutated state returns the cached `Bytes` frame instead
-//! of re-walking the state. The wire format is unchanged — the
-//! clock/cloud split of the nested representation is recomputed from the
-//! runs at encode time (a run starting at sequence 1 *is* a clock
-//! entry), byte for byte.
-//!
-//! Built on this: [`AWSet`] (add-wins set), [`EWFlag`] (enable-wins
-//! flag) and [`CCounter`] (a resettable causal counter). All three run
-//! unchanged under every synchronization protocol in `crdt-sync`,
-//! including BP+RR.
+//! ([`crate::flat::DotRuns`]). The wire format's clock/cloud split is
+//! recomputed from the runs at encode time (a run starting at sequence 1
+//! *is* a clock entry), byte for byte.
 
 use std::collections::BTreeSet;
 
-use crdt_lattice::{
-    Bottom, Bytes, Decompose, Dot, Lattice, ReplicaId, SizeModel, Sizeable, StateSize, VClock,
-    WireEncode,
-};
+use crdt_lattice::{Dot, ReplicaId, SizeModel, Sizeable, VClock, WireEncode};
 
-use crate::flat::{DotRuns, StateTag};
+use crate::dotstores::{Causal, DotFun};
+use crate::flat::DotRuns;
 use crate::Crdt;
 
 // ---------------------------------------------------------------------------
@@ -134,6 +126,14 @@ impl CausalContext {
         self.runs.subset_of(&other.runs)
     }
 
+    /// The dots of `self` that `other` has not observed.
+    pub(crate) fn difference(&self, other: &CausalContext) -> CausalContext {
+        let news = self.runs.dots().filter(|d| !other.contains(d));
+        CausalContext {
+            runs: DotRuns::from_sorted(news),
+        }
+    }
+
     /// Union with `other`; returns `true` if this context grew. The
     /// already-covered case is a no-allocation subset scan.
     // lint: allow(epoch) — CausalContext carries no tag; Causal<S> and the engines bump around every union
@@ -156,292 +156,6 @@ impl CausalContext {
                 }
             })
             .sum()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The causal lattice
-// ---------------------------------------------------------------------------
-
-/// Insert `(dot, v)` into a dot-sorted entry vector, replacing any
-/// existing entry for the same dot (a dot uniquely determines its value,
-/// so replacement only matters for hostile decoded input).
-fn insert_entry<V>(store: &mut Vec<(Dot, V)>, dot: Dot, v: V) {
-    match store.binary_search_by(|(d, _)| d.cmp(&dot)) {
-        Ok(i) => store[i].1 = v,
-        Err(i) => store.insert(i, (dot, v)),
-    }
-}
-
-/// A dot store paired with a causal context: the state shape of every
-/// causal CRDT here. `V` is plain payload data (a dot uniquely determines
-/// its value for the lifetime of the system).
-///
-/// Live entries are a dot-sorted `Vec<(Dot, V)>` — iteration order and
-/// wire bytes match the `BTreeMap` this replaced. The state carries a
-/// mutation epoch and cached encoded frame (excluded from equality,
-/// ordering, hashing and `Debug`): any data-changing mutation
-/// invalidates the frame, and encoding an unmutated state reuses it.
-#[derive(Clone)]
-pub struct DotStore<V: Ord> {
-    store: Vec<(Dot, V)>,
-    ctx: CausalContext,
-    tag: StateTag,
-}
-
-impl<V: Ord> Default for DotStore<V> {
-    fn default() -> Self {
-        DotStore {
-            store: Vec::new(),
-            ctx: CausalContext::default(),
-            tag: StateTag::default(),
-        }
-    }
-}
-
-impl<V: Ord + core::fmt::Debug> core::fmt::Debug for DotStore<V> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        // The tag (epoch + frame cache) is process-local bookkeeping:
-        // keeping it out of `Debug` keeps `Debug`-derived state hashes
-        // equal across converged replicas.
-        f.debug_struct("DotStore")
-            .field("store", &self.store)
-            .field("ctx", &self.ctx)
-            .finish()
-    }
-}
-
-impl<V: Ord> PartialEq for DotStore<V> {
-    fn eq(&self, other: &Self) -> bool {
-        self.store == other.store && self.ctx == other.ctx
-    }
-}
-
-impl<V: Ord> Eq for DotStore<V> {}
-
-impl<V: Ord> PartialOrd for DotStore<V> {
-    fn partial_cmp(&self, other: &Self) -> Option<core::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<V: Ord> Ord for DotStore<V> {
-    fn cmp(&self, other: &Self) -> core::cmp::Ordering {
-        (&self.store, &self.ctx).cmp(&(&other.store, &other.ctx))
-    }
-}
-
-impl<V: Ord + core::hash::Hash> core::hash::Hash for DotStore<V> {
-    fn hash<H: core::hash::Hasher>(&self, state: &mut H) {
-        self.store.hash(state);
-        self.ctx.hash(state);
-    }
-}
-
-impl<V: Ord> DotStore<V> {
-    /// The state's process-local mutation epoch. Any data-changing
-    /// mutation bumps it to a process-unique value; clones share their
-    /// original's epoch (equal epochs imply equal data). Used to key
-    /// external caches (encoded frames, state hashes).
-    pub fn mutation_epoch(&self) -> u64 {
-        self.tag.epoch()
-    }
-
-    /// Dot-sorted lookup of a live dot.
-    fn has_dot(&self, d: &Dot) -> bool {
-        self.store.binary_search_by(|(sd, _)| sd.cmp(d)).is_ok()
-    }
-}
-
-impl<V: Ord + Clone + core::fmt::Debug> DotStore<V> {
-    /// An empty causal state.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Live entries, in dot order.
-    pub fn entries(&self) -> impl Iterator<Item = (&Dot, &V)> {
-        self.store.iter().map(|(d, v)| (d, v))
-    }
-
-    /// Number of live entries.
-    pub fn live_len(&self) -> usize {
-        self.store.len()
-    }
-
-    /// The causal context.
-    pub fn context(&self) -> &CausalContext {
-        &self.ctx
-    }
-
-    /// Mutation primitive: add a fresh dot carrying `value` at `replica`,
-    /// simultaneously *superseding* the live dots selected by `kill`.
-    /// Returns the optimal delta.
-    fn mutate(
-        &mut self,
-        replica: ReplicaId,
-        value: Option<V>,
-        kill: impl Fn(&Dot, &V) -> bool,
-    ) -> Self {
-        let mut delta = Self::new();
-        let mut changed = false;
-        // Cover superseded dots in the delta context (removal news).
-        self.store.retain(|(d, v)| {
-            if kill(d, v) {
-                delta.ctx.insert(*d);
-                changed = true;
-                false
-            } else {
-                true
-            }
-        });
-        if let Some(v) = value {
-            let dot = self.ctx.next_dot(replica);
-            insert_entry(&mut self.store, dot, v.clone());
-            insert_entry(&mut delta.store, dot, v);
-            delta.ctx.insert(dot);
-            changed = true;
-        }
-        if changed {
-            self.tag.note_mutation();
-            delta.tag.note_mutation();
-        }
-        delta
-    }
-}
-
-impl<V: Ord + Clone + core::fmt::Debug> Lattice for DotStore<V> {
-    fn join_assign(&mut self, other: Self) -> bool {
-        // Pass 1 — no-allocation change detection. Joining an
-        // already-covered delta (the steady state of every sync
-        // protocol) ends here without touching the heap.
-        let drops = self
-            .store
-            .iter()
-            .any(|(d, _)| !other.has_dot(d) && other.ctx.contains(d));
-        let adds = other
-            .store
-            .iter()
-            .any(|(d, _)| !self.has_dot(d) && !self.ctx.contains(d));
-        if !drops && !adds && other.ctx.subset_of(&self.ctx) {
-            return false;
-        }
-        // Pass 2 — linear two-pointer merge into one pre-sized buffer.
-        let mut merged = Vec::with_capacity(self.store.len() + other.store.len());
-        let mut mine = std::mem::take(&mut self.store).into_iter().peekable();
-        let mut theirs = other.store.into_iter().peekable();
-        loop {
-            let take_mine = match (mine.peek(), theirs.peek()) {
-                (Some((md, _)), Some((td, _))) => match md.cmp(td) {
-                    core::cmp::Ordering::Less => Some(true),
-                    core::cmp::Ordering::Greater => Some(false),
-                    core::cmp::Ordering::Equal => {
-                        // Live on both sides: survives the join.
-                        merged.push(mine.next().expect("peeked")); // lint: allow(panic) — peek() just returned Some
-                        theirs.next();
-                        continue;
-                    }
-                },
-                (Some(_), None) => Some(true),
-                (None, Some(_)) => Some(false),
-                (None, None) => None,
-            };
-            match take_mine {
-                // Only I hold it live: keep unless the peer saw it die.
-                Some(true) => {
-                    let (d, v) = mine.next().expect("peeked"); // lint: allow(panic) — peek() just returned Some
-                    if !other.ctx.contains(&d) {
-                        merged.push((d, v));
-                    }
-                }
-                // Only the peer holds it live: adopt unless I saw it die
-                // (checked against my pre-union context).
-                Some(false) => {
-                    let (d, v) = theirs.next().expect("peeked"); // lint: allow(panic) — peek() just returned Some
-                    if !self.ctx.contains(&d) {
-                        merged.push((d, v));
-                    }
-                }
-                None => break,
-            }
-        }
-        self.store = merged;
-        self.ctx.union(&other.ctx);
-        self.tag.note_mutation();
-        true
-    }
-
-    fn leq(&self, other: &Self) -> bool {
-        // a ⊑ b ⇔ a ⊔ b = b: my context is covered, and every dot b holds
-        // live is not one I have already removed.
-        self.ctx.subset_of(&other.ctx)
-            && other
-                .store
-                .iter()
-                .all(|(d, _)| self.has_dot(d) || !self.ctx.contains(d))
-    }
-}
-
-impl<V: Ord + Clone + core::fmt::Debug> Bottom for DotStore<V> {
-    fn bottom() -> Self {
-        Self::new()
-    }
-
-    fn is_bottom(&self) -> bool {
-        self.store.is_empty() && self.ctx.is_empty()
-    }
-}
-
-impl<V: Ord + Clone + core::fmt::Debug> Decompose for DotStore<V> {
-    fn for_each_irreducible(&self, f: &mut dyn FnMut(Self)) {
-        // Live parts: ({d ↦ v}, {d}).
-        for (d, v) in &self.store {
-            let mut part = Self::new();
-            part.store.push((*d, v.clone()));
-            part.ctx.insert(*d);
-            part.tag = StateTag::fresh();
-            f(part);
-        }
-        // Dead parts: (∅, {d}) for context-only dots.
-        for d in self.ctx.iter() {
-            if !self.has_dot(&d) {
-                let mut part = Self::new();
-                part.ctx.insert(d);
-                part.tag = StateTag::fresh();
-                f(part);
-            }
-        }
-    }
-
-    fn irreducible_count(&self) -> u64 {
-        // Every observed dot is exactly one part (live or dead).
-        self.ctx.len()
-    }
-
-    /// Optimal delta, specialized (equivalent to the generic
-    /// decomposition fold, without materializing every part):
-    /// live parts the peer hasn't heard of, plus dead parts the peer
-    /// either hasn't heard of or still believes live.
-    fn delta(&self, other: &Self) -> Self {
-        let mut d = Self::new();
-        for (dot, v) in &self.store {
-            if !other.ctx.contains(dot) {
-                // Visited in dot order, so plain pushes stay sorted.
-                d.store.push((*dot, v.clone()));
-                d.ctx.insert(*dot);
-            }
-        }
-        for dot in self.ctx.iter() {
-            if !self.has_dot(&dot) && (!other.ctx.contains(&dot) || other.has_dot(&dot)) {
-                d.ctx.insert(dot);
-            }
-        }
-        d.tag = StateTag::fresh();
-        d
-    }
-
-    fn is_irreducible(&self) -> bool {
-        self.ctx.len() == 1
     }
 }
 
@@ -492,80 +206,6 @@ impl WireEncode for CausalContext {
     }
 }
 
-impl<V: Ord + WireEncode> DotStore<V> {
-    /// The structural (cache-bypassing) encoding: `BTreeMap<Dot, V>`
-    /// shape for the live entries, then the context.
-    fn encode_structural(&self, out: &mut Vec<u8>) {
-        (self.store.len() as u64).encode(out);
-        for (d, v) in &self.store {
-            d.encode(out);
-            v.encode(out);
-        }
-        self.ctx.encode(out);
-    }
-}
-
-impl<V> WireEncode for DotStore<V>
-where
-    V: Ord + WireEncode,
-{
-    fn encode(&self, out: &mut Vec<u8>) {
-        // Unmutated since the last encode: splice the cached frame in.
-        if let Some(frame) = self.tag.cached() {
-            out.extend_from_slice(&frame);
-            return;
-        }
-        let start = out.len();
-        self.encode_structural(out);
-        self.tag.store(Bytes::copy_from_slice(&out[start..]));
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, crdt_lattice::CodecError> {
-        let len = usize::decode(input)?;
-        if len > input.len() {
-            return Err(crdt_lattice::CodecError::UnexpectedEnd);
-        }
-        let mut store: Vec<(Dot, V)> = Vec::with_capacity(len);
-        for _ in 0..len {
-            let d = Dot::decode(input)?;
-            let v = V::decode(input)?;
-            // Hostile input may be unsorted or duplicated; normalize like
-            // the `BTreeMap` decode this mirrors.
-            insert_entry(&mut store, d, v);
-        }
-        Ok(DotStore {
-            store,
-            ctx: CausalContext::decode(input)?,
-            tag: StateTag::fresh(),
-        })
-    }
-
-    fn encode_frame(&self) -> Bytes {
-        if let Some(frame) = self.tag.cached() {
-            return frame;
-        }
-        let mut out = Vec::new();
-        self.encode_structural(&mut out);
-        let frame = Bytes::from(out);
-        self.tag.store(frame.clone());
-        frame
-    }
-}
-
-impl<V: Ord + Clone + core::fmt::Debug + Sizeable> StateSize for DotStore<V> {
-    fn count_elements(&self) -> u64 {
-        self.ctx.len()
-    }
-
-    fn size_bytes(&self, model: &SizeModel) -> u64 {
-        self.store
-            .iter()
-            .map(|(d, v)| d.size_bytes(model) + v.payload_bytes(model))
-            .sum::<u64>()
-            + self.ctx.size_bytes(model)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // AWSet
 // ---------------------------------------------------------------------------
@@ -584,11 +224,11 @@ pub enum AWSetOp<E> {
 /// An add-wins observed-remove set: elements can be added and removed any
 /// number of times; concurrent add/remove resolves to *add*.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct AWSet<E: Ord>(DotStore<E>);
+pub struct AWSet<E: Ord>(Causal<DotFun<E>>);
 
 impl<E: Ord> Default for AWSet<E> {
     fn default() -> Self {
-        AWSet(DotStore::default())
+        AWSet(Causal::default())
     }
 }
 
@@ -609,30 +249,34 @@ impl<E: Ord + Clone + core::fmt::Debug> AWSet<E> {
     /// optimal delta.
     #[must_use = "the returned delta must be buffered for synchronization"]
     pub fn add(&mut self, replica: ReplicaId, e: E) -> Self {
-        AWSet(self.0.mutate(replica, Some(e.clone()), |_, v| *v == e))
+        let retired = self.0.retire_where(|_, v| *v == e);
+        AWSet(
+            self.0
+                .record(retired, replica, |store, dot| store.insert(dot, e.clone())),
+        )
     }
 
     /// Remove all visible copies of `e`. Returns the optimal delta (pure
     /// context — no tombstone values).
     #[must_use = "the returned delta must be buffered for synchronization"]
     pub fn remove(&mut self, e: &E) -> Self {
-        AWSet(self.0.mutate(ReplicaId(0), None, |_, v| v == e))
+        AWSet(self.0.retire_where(|_, v| v == e))
     }
 
     /// Remove everything visible. Returns the optimal delta.
     #[must_use = "the returned delta must be buffered for synchronization"]
     pub fn clear(&mut self) -> Self {
-        AWSet(self.0.mutate(ReplicaId(0), None, |_, _| true))
+        AWSet(self.0.retire_where(|_, _| true))
     }
 
     /// Membership test.
     pub fn contains(&self, e: &E) -> bool {
-        self.0.store.iter().any(|(_, v)| v == e)
+        self.0.store().values().any(|v| v == e)
     }
 
     /// Distinct visible elements, in order.
     pub fn elements(&self) -> BTreeSet<&E> {
-        self.0.store.iter().map(|(_, v)| v).collect()
+        self.0.store().values().collect()
     }
 
     /// Number of distinct visible elements.
@@ -642,7 +286,7 @@ impl<E: Ord + Clone + core::fmt::Debug> AWSet<E> {
 
     /// Is the set observably empty?
     pub fn is_empty(&self) -> bool {
-        self.0.store.is_empty()
+        self.0.store().is_empty()
     }
 }
 
@@ -659,7 +303,7 @@ impl<E: Ord + Clone + core::fmt::Debug + Sizeable> Crdt for AWSet<E> {
     }
 
     fn value(&self) -> BTreeSet<E> {
-        self.0.store.iter().map(|(_, v)| v.clone()).collect()
+        self.0.store().values().cloned().collect()
     }
 
     fn op_size_bytes(op: &Self::Op, model: &SizeModel) -> u64 {
@@ -690,7 +334,7 @@ pub enum EWFlagOp {
 
 /// An enable-wins flag: concurrent enable/disable resolves to *enabled*.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct EWFlag(DotStore<()>);
+pub struct EWFlag(Causal<DotFun<()>>);
 
 crate::macros::delegate_wire!(EWFlag where []);
 crate::macros::delegate_join!(EWFlag where []);
@@ -706,18 +350,22 @@ impl EWFlag {
     /// Enable at `replica`, returning the optimal delta.
     #[must_use = "the returned delta must be buffered for synchronization"]
     pub fn enable(&mut self, replica: ReplicaId) -> Self {
-        EWFlag(self.0.mutate(replica, Some(()), |_, _| true))
+        let retired = self.0.retire_where(|_, _| true);
+        EWFlag(
+            self.0
+                .record(retired, replica, |store, dot| store.insert(dot, ())),
+        )
     }
 
     /// Disable, returning the optimal delta.
     #[must_use = "the returned delta must be buffered for synchronization"]
     pub fn disable(&mut self) -> Self {
-        EWFlag(self.0.mutate(ReplicaId(0), None, |_, _| true))
+        EWFlag(self.0.retire_where(|_, _| true))
     }
 
     /// Is the flag set?
     pub fn is_enabled(&self) -> bool {
-        !self.0.store.is_empty()
+        !self.0.store().is_empty()
     }
 }
 
@@ -766,7 +414,7 @@ pub enum CCounterOp {
 /// so `Reset` is a pure-context removal and concurrent increments
 /// survive it.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct CCounter(DotStore<i64>);
+pub struct CCounter(Causal<DotFun<i64>>);
 
 crate::macros::delegate_wire!(CCounter where []);
 crate::macros::delegate_join!(CCounter where []);
@@ -783,28 +431,24 @@ impl CCounter {
     /// previous dot). Returns the optimal delta.
     #[must_use = "the returned delta must be buffered for synchronization"]
     pub fn add(&mut self, replica: ReplicaId, by: i64) -> Self {
-        let current: i64 = self
-            .0
-            .store
-            .iter()
-            .filter(|(d, _)| d.replica == replica)
-            .map(|(_, v)| *v)
-            .sum();
+        let own = self.0.store().iter().filter(|(d, _)| d.replica == replica);
+        let total = own.map(|(_, v)| *v).sum::<i64>() + by;
+        let retired = self.0.retire_where(|d, _| d.replica == replica);
         CCounter(
             self.0
-                .mutate(replica, Some(current + by), |d, _| d.replica == replica),
+                .record(retired, replica, |store, dot| store.insert(dot, total)),
         )
     }
 
     /// Reset to zero, returning the optimal delta.
     #[must_use = "the returned delta must be buffered for synchronization"]
     pub fn reset(&mut self) -> Self {
-        CCounter(self.0.mutate(ReplicaId(0), None, |_, _| true))
+        CCounter(self.0.retire_where(|_, _| true))
     }
 
     /// The counter value: the sum of visible contributions.
     pub fn total(&self) -> i64 {
-        self.0.store.iter().map(|(_, v)| *v).sum()
+        self.0.store().values().sum()
     }
 }
 
@@ -844,6 +488,7 @@ mod tests {
     use super::*;
     use crate::traits::testing::check_crdt_op;
     use crdt_lattice::testing::check_all_laws;
+    use crdt_lattice::{Bottom, Lattice};
 
     const A: ReplicaId = ReplicaId(0);
     const B: ReplicaId = ReplicaId(1);
@@ -944,7 +589,7 @@ mod tests {
         let _ = s.add(A, "a-large-element-payload".repeat(10));
         let d = s.remove(&"a-large-element-payload".repeat(10));
         // The removal delta carries only context (dots), no element data.
-        assert_eq!(d.0.store.len(), 0);
+        assert_eq!(d.0.store().len(), 0);
         assert!(d.size_bytes(&model) <= 2 * model.vector_entry_bytes());
     }
 
@@ -1085,7 +730,7 @@ mod tests {
         for _ in 0..10 {
             let _ = c.add(A, 1);
         }
-        assert_eq!(c.0.store.len(), 1);
+        assert_eq!(c.0.store().len(), 1);
         assert_eq!(c.total(), 10);
     }
 
@@ -1115,8 +760,8 @@ mod tests {
         let parts = s.decompose();
         assert_eq!(parts.len(), 2);
         assert_eq!(s.irreducible_count(), 2);
-        let live = parts.iter().filter(|p| p.0.store.len() == 1).count();
-        let dead = parts.iter().filter(|p| p.0.store.is_empty()).count();
+        let live = parts.iter().filter(|p| p.0.store().len() == 1).count();
+        let dead = parts.iter().filter(|p| p.0.store().is_empty()).count();
         assert_eq!((live, dead), (1, 1));
         assert!(parts.iter().all(Decompose::is_irreducible));
     }

@@ -1,9 +1,9 @@
-//! The generic dot-store framework of the delta-state literature.
+//! The dot-store framework of the delta-state literature: the one
+//! causal lattice every causal CRDT in this crate is a newtype over.
 //!
-//! [`crate::causal`] implements three causal CRDTs over one flat store
-//! shape (`Dot ↪ V`). The delta-state papers the paper builds on
-//! (\[13\]/\[14\], Almeida–Shoker–Baquero) define causal CRDTs over a small
-//! *algebra* of dot stores instead, closed under nesting:
+//! The delta-state papers the paper builds on (\[13\]/\[14\],
+//! Almeida–Shoker–Baquero) define causal CRDTs over a small *algebra* of
+//! dot stores, closed under nesting:
 //!
 //! * [`DotSet`] — `P(Dot)`: bare event identifiers (flags, per-element
 //!   presence);
@@ -41,16 +41,20 @@
 //!   context-only dot — unique and irredundant (the causal lattice is
 //!   distributive and satisfies DCC, Appendix A);
 //! * the optimal delta `Δ(a,b)` follows from the generic fold, and is
-//!   specialized here without materializing parts.
+//!   specialized here without materializing parts: the store half is one
+//!   [`DotStore::outside`] pass, the context half a context difference plus
+//!   the dots the peer still holds live. Mutators are built the same
+//!   way: [`Causal::retire`] (one [`DotStore::retain_outside`] pass)
+//!   followed, for a new event, by [`Causal::record`].
 //!
 //! Every type in this module therefore runs unchanged under every
 //! synchronization protocol in `crdt-sync`, including delta-based BP+RR.
 //!
-//! Built on the framework: [`ORMap`] (observed-remove map with
+//! Defined here: [`ORMap`] (observed-remove map with
 //! multi-value-register leaves), [`ORSetMap`] (observed-remove map of
 //! add-wins sets — one level of nesting), [`RWSet`] (remove-wins set) and
-//! [`DWFlag`] (disable-wins flag), complementing the add-wins/enable-wins
-//! types of [`crate::causal`].
+//! [`DWFlag`] (disable-wins flag); the add-wins/enable-wins types over a
+//! bare [`DotFun`] live in [`crate::causal`].
 
 use core::fmt::Debug;
 use std::collections::{BTreeMap, BTreeSet};
@@ -73,13 +77,15 @@ use crate::Crdt;
 /// Implementations must maintain the framework invariant that a dot in the
 /// store uniquely identifies its payload for the lifetime of the system
 /// (dots are never reused with different data).
+///
+/// Besides the join, a store offers two linear context filters —
+/// [`DotStore::retain_outside`] (in place) and [`DotStore::outside`] (a
+/// filtered copy) — from which [`Causal`] builds every mutator and the
+/// optimal delta without materializing parts.
 pub trait DotStore: Clone + Debug + Eq + Default {
     /// Visit every dot in the store (for a [`DotMap`], every dot of every
     /// nested store).
     fn for_each_dot(&self, f: &mut dyn FnMut(Dot));
-
-    /// Is `d` live in this store?
-    fn contains_dot(&self, d: &Dot) -> bool;
 
     /// Does the store hold no dots?
     fn is_empty(&self) -> bool;
@@ -102,22 +108,34 @@ pub trait DotStore: Clone + Debug + Eq + Default {
     /// A dot survives iff it is live on both sides, or live on one side
     /// and absent from the other's *context* (unseen news beats observed
     /// death; observed death beats liveness). When nothing would change,
-    /// the join returns `false` without allocating.
-    fn join(&mut self, self_ctx: &CausalContext, other: &Self, other_ctx: &CausalContext) -> bool;
+    /// the join returns `false` without allocating; otherwise adopted
+    /// payload moves out of `other` uncloned.
+    fn join(&mut self, self_ctx: &CausalContext, other: Self, other_ctx: &CausalContext) -> bool;
+
+    /// Drop every dot `ctx` covers, in place and in one pass (a
+    /// [`DotMap`] recurses and prunes the keys it empties).
+    fn retain_outside(&mut self, ctx: &CausalContext);
+
+    /// The sub-store of the dots `ctx` does *not* cover, built in one
+    /// pass: the store half of `⊔{ live part p ∈ ⇓(self, _) | dot(p) ∉ ctx }`.
+    fn outside(&self, ctx: &CausalContext) -> Self;
+
+    /// Visit every dot live in `self` but not in `other`, pairing the two
+    /// stores structurally (key by key, then dot by dot).
+    fn for_each_dot_not_in(&self, other: &Self, f: &mut dyn FnMut(Dot));
 
     /// Visit `(dot, minimal sub-store holding exactly that dot)` for every
     /// live dot — the store half of the live parts of `⇓(self, ctx)`.
     fn for_each_part(&self, f: &mut dyn FnMut(Dot, Self));
 
-    /// Number of live dots.
-    fn dot_count(&self) -> u64 {
-        let mut n = 0;
-        self.for_each_dot(&mut |_| n += 1);
-        n
+    /// The live dots, as a context.
+    fn dots(&self) -> CausalContext {
+        let mut dots = CausalContext::new();
+        self.for_each_dot(&mut |d| {
+            dots.insert(d);
+        });
+        dots
     }
-
-    /// Wire size of the store under `model`.
-    fn size_bytes(&self, model: &SizeModel) -> u64;
 }
 
 /// `P(Dot)` — bare event identifiers, as sorted coalesced runs.
@@ -142,11 +160,6 @@ impl DotSet {
         self.0.insert(d)
     }
 
-    /// Iterate the dots in order.
-    pub fn iter(&self) -> impl Iterator<Item = Dot> + '_ {
-        self.0.dots()
-    }
-
     /// Number of dots.
     pub fn len(&self) -> usize {
         self.0.len() as usize
@@ -165,10 +178,6 @@ impl DotStore for DotSet {
         }
     }
 
-    fn contains_dot(&self, d: &Dot) -> bool {
-        self.0.contains(d)
-    }
-
     fn is_empty(&self) -> bool {
         self.0.is_empty()
     }
@@ -183,15 +192,15 @@ impl DotStore for DotSet {
         // dot I have not heard of.
         self.0
             .dots()
-            .any(|d| !other.contains_dot(&d) && other_ctx.contains(&d))
+            .any(|d| !other.0.contains(&d) && other_ctx.contains(&d))
             || other
                 .0
                 .dots()
-                .any(|d| !self.contains_dot(&d) && !self_ctx.contains(&d))
+                .any(|d| !self.0.contains(&d) && !self_ctx.contains(&d))
     }
 
-    fn join(&mut self, self_ctx: &CausalContext, other: &Self, other_ctx: &CausalContext) -> bool {
-        if !self.join_would_change(self_ctx, other, other_ctx) {
+    fn join(&mut self, self_ctx: &CausalContext, other: Self, other_ctx: &CausalContext) -> bool {
+        if !self.join_would_change(self_ctx, &other, other_ctx) {
             return false;
         }
         // Linear two-pointer merge over both sorted dot streams.
@@ -238,17 +247,33 @@ impl DotStore for DotSet {
         true
     }
 
+    fn retain_outside(&mut self, ctx: &CausalContext) {
+        if self.0.dots().any(|d| ctx.contains(&d)) {
+            *self = self.outside(ctx);
+        }
+    }
+
+    fn outside(&self, ctx: &CausalContext) -> Self {
+        DotSet(DotRuns::from_sorted(
+            self.0.dots().filter(|d| !ctx.contains(d)),
+        ))
+    }
+
+    fn for_each_dot_not_in(&self, other: &Self, f: &mut dyn FnMut(Dot)) {
+        for d in self.0.dots().filter(|d| !other.0.contains(d)) {
+            f(d);
+        }
+    }
+
     fn for_each_part(&self, f: &mut dyn FnMut(Dot, Self)) {
         for d in self.0.dots() {
             f(d, DotSet::singleton(d));
         }
     }
+}
 
-    fn dot_count(&self) -> u64 {
-        self.0.len()
-    }
-
-    fn size_bytes(&self, model: &SizeModel) -> u64 {
+impl Sizeable for DotSet {
+    fn payload_bytes(&self, model: &SizeModel) -> u64 {
         self.0.len() * model.vector_entry_bytes()
     }
 }
@@ -273,9 +298,9 @@ impl<V> DotFun<V> {
         self.0.binary_search_by(|(sd, _)| sd.cmp(d)).is_ok()
     }
 
-    /// Insert preserving dot order (replacing a duplicate — only hostile
-    /// decoded input produces one).
-    fn insert_sorted(&mut self, d: Dot, v: V) {
+    /// Insert an entry, preserving dot order (replacing a duplicate — only
+    /// hostile decoded input produces one).
+    pub fn insert(&mut self, d: Dot, v: V) {
         match self.0.binary_search_by(|(sd, _)| sd.cmp(&d)) {
             Ok(i) => self.0[i].1 = v,
             Err(i) => self.0.insert(i, (d, v)),
@@ -292,11 +317,6 @@ impl<V: Clone> DotFun<V> {
     /// A map holding exactly `d ↦ v`.
     pub fn singleton(d: Dot, v: V) -> Self {
         DotFun(vec![(d, v)])
-    }
-
-    /// Insert an entry.
-    pub fn insert(&mut self, d: Dot, v: V) {
-        self.insert_sorted(d, v);
     }
 
     /// Iterate entries in dot order.
@@ -320,15 +340,11 @@ impl<V: Clone> DotFun<V> {
     }
 }
 
-impl<V: Clone + Debug + Eq + Sizeable> DotStore for DotFun<V> {
+impl<V: Clone + Debug + Eq> DotStore for DotFun<V> {
     fn for_each_dot(&self, f: &mut dyn FnMut(Dot)) {
         for (d, _) in &self.0 {
             f(*d);
         }
-    }
-
-    fn contains_dot(&self, d: &Dot) -> bool {
-        self.has_dot(d)
     }
 
     fn is_empty(&self) -> bool {
@@ -350,19 +366,24 @@ impl<V: Clone + Debug + Eq + Sizeable> DotStore for DotFun<V> {
                 .any(|(d, _)| !self.has_dot(d) && !self_ctx.contains(d))
     }
 
-    fn join(&mut self, self_ctx: &CausalContext, other: &Self, other_ctx: &CausalContext) -> bool {
-        if !self.join_would_change(self_ctx, other, other_ctx) {
+    fn join(&mut self, self_ctx: &CausalContext, other: Self, other_ctx: &CausalContext) -> bool {
+        // Pass 1 — no-allocation change detection. Joining an
+        // already-covered delta (the steady state of every sync
+        // protocol) ends here without touching the heap.
+        if !self.join_would_change(self_ctx, &other, other_ctx) {
             return false;
         }
+        // Pass 2 — linear two-pointer merge into one pre-sized buffer.
         let mut merged = Vec::with_capacity(self.0.len() + other.0.len());
         let mut mine = std::mem::take(&mut self.0).into_iter().peekable();
-        let mut theirs = other.0.iter().peekable();
+        let mut theirs = other.0.into_iter().peekable();
         loop {
             let take_mine = match (mine.peek(), theirs.peek()) {
                 (Some((md, _)), Some((td, _))) => match md.cmp(td) {
                     core::cmp::Ordering::Less => Some(true),
                     core::cmp::Ordering::Greater => Some(false),
                     core::cmp::Ordering::Equal => {
+                        // Live on both sides: survives the join.
                         merged.push(mine.next().expect("peeked")); // lint: allow(panic) — peek() just returned Some
                         theirs.next();
                         continue;
@@ -373,16 +394,18 @@ impl<V: Clone + Debug + Eq + Sizeable> DotStore for DotFun<V> {
                 (None, None) => None,
             };
             match take_mine {
+                // Only I hold it live: keep unless the peer saw it die.
                 Some(true) => {
                     let (d, v) = mine.next().expect("peeked"); // lint: allow(panic) — peek() just returned Some
                     if !other_ctx.contains(&d) {
                         merged.push((d, v));
                     }
                 }
+                // Only the peer holds it live: adopt unless I saw it die.
                 Some(false) => {
                     let (d, v) = theirs.next().expect("peeked"); // lint: allow(panic) — peek() just returned Some
-                    if !self_ctx.contains(d) {
-                        merged.push((*d, v.clone()));
+                    if !self_ctx.contains(&d) {
+                        merged.push((d, v));
                     }
                 }
                 None => break,
@@ -392,17 +415,35 @@ impl<V: Clone + Debug + Eq + Sizeable> DotStore for DotFun<V> {
         true
     }
 
+    fn retain_outside(&mut self, ctx: &CausalContext) {
+        self.0.retain(|(d, _)| !ctx.contains(d));
+    }
+
+    fn outside(&self, ctx: &CausalContext) -> Self {
+        DotFun(
+            self.0
+                .iter()
+                .filter(|(d, _)| !ctx.contains(d))
+                .cloned()
+                .collect(),
+        )
+    }
+
+    fn for_each_dot_not_in(&self, other: &Self, f: &mut dyn FnMut(Dot)) {
+        for (d, _) in self.0.iter().filter(|(d, _)| !other.has_dot(d)) {
+            f(*d);
+        }
+    }
+
     fn for_each_part(&self, f: &mut dyn FnMut(Dot, Self)) {
         for (d, v) in &self.0 {
             f(*d, DotFun::singleton(*d, v.clone()));
         }
     }
+}
 
-    fn dot_count(&self) -> u64 {
-        self.0.len() as u64
-    }
-
-    fn size_bytes(&self, model: &SizeModel) -> u64 {
+impl<V: Sizeable> Sizeable for DotFun<V> {
+    fn payload_bytes(&self, model: &SizeModel) -> u64 {
         self.0
             .iter()
             .map(|(_, v)| model.vector_entry_bytes() + v.payload_bytes(model))
@@ -459,6 +500,25 @@ impl<K: Ord + Clone, S: DotStore> DotMap<K, S> {
             .map(|i| &self.0[i].1)
     }
 
+    /// The live dots under `k` (none if the key is absent).
+    pub fn dots_under(&self, k: &K) -> CausalContext {
+        self.get(k).map(DotStore::dots).unwrap_or_default()
+    }
+
+    /// The nested store at `k`, for writing — inserted empty if absent.
+    /// The caller must leave it non-empty (`⊥` entries are represented
+    /// by absence).
+    pub fn entry(&mut self, k: K) -> &mut S {
+        let i = match self.0.binary_search_by(|(sk, _)| sk.cmp(&k)) {
+            Ok(i) => i,
+            Err(i) => {
+                self.0.insert(i, (k, S::default()));
+                i
+            }
+        };
+        &mut self.0[i].1
+    }
+
     /// Iterate entries in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&K, &S)> {
         self.0.iter().map(|(k, s)| (k, s))
@@ -475,15 +535,11 @@ impl<K: Ord + Clone, S: DotStore> DotMap<K, S> {
     }
 }
 
-impl<K: Ord + Clone + Debug + Sizeable, S: DotStore> DotStore for DotMap<K, S> {
+impl<K: Ord + Clone + Debug, S: DotStore> DotStore for DotMap<K, S> {
     fn for_each_dot(&self, f: &mut dyn FnMut(Dot)) {
         for (_, s) in &self.0 {
             s.for_each_dot(f);
         }
-    }
-
-    fn contains_dot(&self, d: &Dot) -> bool {
-        self.0.iter().any(|(_, s)| s.contains_dot(d))
     }
 
     fn is_empty(&self) -> bool {
@@ -534,16 +590,15 @@ impl<K: Ord + Clone + Debug + Sizeable, S: DotStore> DotStore for DotMap<K, S> {
         false
     }
 
-    fn join(&mut self, self_ctx: &CausalContext, other: &Self, other_ctx: &CausalContext) -> bool {
-        if !self.join_would_change(self_ctx, other, other_ctx) {
+    fn join(&mut self, self_ctx: &CausalContext, other: Self, other_ctx: &CausalContext) -> bool {
+        if !self.join_would_change(self_ctx, &other, other_ctx) {
             return false;
         }
         // Linear two-pointer merge by key; emptied nested stores are
         // pruned as we go (⊥ entries are represented by absence).
-        let empty = S::default();
         let mut merged = Vec::with_capacity(self.0.len() + other.0.len());
         let mut mine = std::mem::take(&mut self.0).into_iter().peekable();
-        let mut theirs = other.0.iter().peekable();
+        let mut theirs = other.0.into_iter().peekable();
         loop {
             let take_mine = match (mine.peek(), theirs.peek()) {
                 (Some((mk, _)), Some((tk, _))) => match mk.cmp(tk) {
@@ -563,26 +618,49 @@ impl<K: Ord + Clone + Debug + Sizeable, S: DotStore> DotStore for DotMap<K, S> {
                 (None, Some(_)) => Some(false),
                 (None, None) => None,
             };
-            match take_mine {
+            // A one-sided key keeps the dots the other side has not seen.
+            let (k, mut s, seen) = match take_mine {
                 Some(true) => {
-                    let (k, mut s) = mine.next().expect("peeked"); // lint: allow(panic) — peek() just returned Some
-                    s.join(self_ctx, &empty, other_ctx);
-                    if !s.is_empty() {
-                        merged.push((k, s));
-                    }
+                    let (k, s) = mine.next().expect("peeked"); // lint: allow(panic) — peek() just returned Some
+                    (k, s, other_ctx)
                 }
                 Some(false) => {
-                    let (k, ts) = theirs.next().expect("peeked"); // lint: allow(panic) — peek() just returned Some
-                    let mut s = S::default();
-                    if s.join(self_ctx, ts, other_ctx) && !s.is_empty() {
-                        merged.push((k.clone(), s));
-                    }
+                    let (k, s) = theirs.next().expect("peeked"); // lint: allow(panic) — peek() just returned Some
+                    (k, s, self_ctx)
                 }
                 None => break,
+            };
+            s.retain_outside(seen);
+            if !s.is_empty() {
+                merged.push((k, s));
             }
         }
         self.0 = merged;
         true
+    }
+
+    fn retain_outside(&mut self, ctx: &CausalContext) {
+        self.0.retain_mut(|(_, s)| {
+            s.retain_outside(ctx);
+            !s.is_empty()
+        });
+    }
+
+    fn outside(&self, ctx: &CausalContext) -> Self {
+        let kept = self.0.iter().filter_map(|(k, s)| {
+            let s = s.outside(ctx);
+            (!s.is_empty()).then(|| (k.clone(), s))
+        });
+        DotMap(kept.collect())
+    }
+
+    fn for_each_dot_not_in(&self, other: &Self, f: &mut dyn FnMut(Dot)) {
+        for (k, s) in &self.0 {
+            match other.get(k) {
+                Some(os) => s.for_each_dot_not_in(os, f),
+                None => s.for_each_dot(f),
+            }
+        }
     }
 
     fn for_each_part(&self, f: &mut dyn FnMut(Dot, Self)) {
@@ -590,11 +668,13 @@ impl<K: Ord + Clone + Debug + Sizeable, S: DotStore> DotStore for DotMap<K, S> {
             s.for_each_part(&mut |d, part| f(d, DotMap::singleton(k.clone(), part)));
         }
     }
+}
 
-    fn size_bytes(&self, model: &SizeModel) -> u64 {
+impl<K: Ord + Sizeable, S: Sizeable> Sizeable for DotMap<K, S> {
+    fn payload_bytes(&self, model: &SizeModel) -> u64 {
         self.0
             .iter()
-            .map(|(k, s)| k.payload_bytes(model) + s.size_bytes(model))
+            .map(|(k, s)| k.payload_bytes(model) + s.payload_bytes(model))
             .sum()
     }
 }
@@ -678,58 +758,64 @@ impl<S: DotStore> Causal<S> {
         &self.store
     }
 
-    /// The causal context.
-    pub fn context(&self) -> &CausalContext {
-        &self.ctx
+    /// Removal primitive shared by every causal CRDT: retire the dots in
+    /// `dead` — which must all be live in the store — and return the
+    /// optimal delta `(∅, dead)`. Their death is published by covering
+    /// them in the delta's context without storing them.
+    pub fn retire(&mut self, dead: CausalContext) -> Self {
+        if !dead.is_empty() {
+            self.store.retain_outside(&dead);
+        }
+        self.retired(dead)
     }
 
-    /// Mutation primitive shared by every causal CRDT: claim a fresh dot
-    /// at `replica` (if `write` wants one), kill the live dots selected by
-    /// `kill`, and return the optimal delta.
-    ///
-    /// * `kill` selects dots to supersede (their death is published by
-    ///   covering them in the delta's context without storing them);
-    /// * `write` receives the fresh dot and returns the minimal store
-    ///   holding the new event (e.g. `{k ↦ {d ↦ v}}`), or is skipped for
-    ///   pure removals.
-    pub fn mutate(
-        &mut self,
-        replica: Option<ReplicaId>,
-        kill: impl Fn(&Dot) -> bool,
-        write: impl FnOnce(Dot) -> S,
-    ) -> Self {
+    /// The delta `(∅, dead)` for dots already dropped from the store.
+    fn retired(&mut self, dead: CausalContext) -> Self {
         let mut delta = Self::new();
-        let mut changed = false;
-        // Collect and erase the superseded dots: join with a state whose
-        // context covers them but whose store does not hold them.
-        let mut dead_ctx = CausalContext::new();
-        self.store.for_each_dot(&mut |d| {
-            if kill(&d) {
-                dead_ctx.insert(d);
-            }
-        });
-        if !dead_ctx.is_empty() {
-            self.store.join(&self.ctx, &S::default(), &dead_ctx);
-            changed = true;
-        }
-        delta.ctx.union(&dead_ctx);
-        if let Some(r) = replica {
-            // Snapshot the context *before* claiming the fresh dot, so the
-            // framework join adopts the news as unseen.
-            let pre_ctx = self.ctx.clone();
-            let dot = self.ctx.next_dot(r);
-            let news = write(dot);
-            self.store
-                .join(&pre_ctx, &news, &CausalContext::singleton(dot));
-            delta.store = news;
-            delta.ctx.insert(dot);
-            changed = true;
-        }
-        if changed {
+        if !dead.is_empty() {
             self.tag.note_mutation();
+            delta.ctx = dead;
             delta.tag.note_mutation();
         }
         delta
+    }
+
+    /// Write primitive shared by every causal CRDT: claim a fresh dot at
+    /// `replica` and let `write` place the new event under it (e.g. as
+    /// `{k ↦ {d ↦ v}}`) — it runs twice, on the state's store and on the
+    /// delta's. `retired` is the delta of the retirement the event
+    /// supersedes (`⊥` for none); the whole mutation's optimal delta is
+    /// returned.
+    pub fn record(
+        &mut self,
+        retired: Self,
+        replica: ReplicaId,
+        write: impl Fn(&mut S, Dot),
+    ) -> Self {
+        let mut delta = retired;
+        let dot = self.ctx.next_dot(replica);
+        write(&mut self.store, dot);
+        write(&mut delta.store, dot);
+        delta.ctx.insert(dot);
+        self.tag.note_mutation();
+        delta.tag.note_mutation();
+        delta
+    }
+}
+
+impl<V: Clone + Debug + Eq> Causal<DotFun<V>> {
+    /// [`Causal::retire`] by payload: retire the entries `kill` selects,
+    /// found and dropped in one pass.
+    pub fn retire_where(&mut self, kill: impl Fn(&Dot, &V) -> bool) -> Self {
+        let mut dead = CausalContext::new();
+        self.store.0.retain(|(d, v)| {
+            let kill = kill(d, v);
+            if kill {
+                dead.insert(*d);
+            }
+            !kill
+        });
+        self.retired(dead)
     }
 }
 
@@ -738,7 +824,7 @@ impl<S: DotStore> Lattice for Causal<S> {
         // Both halves detect no-change without allocating, so joining an
         // already-covered delta is free and leaves the epoch (and any
         // cached frame) intact.
-        let mut changed = self.store.join(&self.ctx, &other.store, &other.ctx);
+        let mut changed = self.store.join(&self.ctx, other.store, &other.ctx);
         changed |= self.ctx.union(&other.ctx);
         if changed {
             self.tag.note_mutation();
@@ -749,15 +835,12 @@ impl<S: DotStore> Lattice for Causal<S> {
     fn leq(&self, other: &Self) -> bool {
         // a ⊑ b ⇔ a ⊔ b = b: my context is covered, and no dot live in b
         // is one I have seen die.
-        if !self.ctx.subset_of(&other.ctx) {
-            return false;
+        let mut ok = self.ctx.subset_of(&other.ctx);
+        if ok {
+            other
+                .store
+                .for_each_dot_not_in(&self.store, &mut |d| ok &= !self.ctx.contains(&d));
         }
-        let mut ok = true;
-        other.store.for_each_dot(&mut |d| {
-            if !self.store.contains_dot(&d) && self.ctx.contains(&d) {
-                ok = false;
-            }
-        });
         ok
     }
 }
@@ -783,42 +866,41 @@ impl<S: DotStore> Decompose for Causal<S> {
             });
         });
         // Dead parts.
-        for d in self.ctx.iter() {
-            if !self.store.contains_dot(&d) {
-                f(Causal {
-                    store: S::default(),
-                    ctx: CausalContext::singleton(d),
-                    tag: StateTag::fresh(),
-                });
-            }
+        let live = self.store.dots();
+        for d in self.ctx.iter().filter(|d| !live.contains(d)) {
+            f(Causal {
+                store: S::default(),
+                ctx: CausalContext::singleton(d),
+                tag: StateTag::fresh(),
+            });
         }
     }
 
     fn irreducible_count(&self) -> u64 {
+        // Every observed dot is exactly one part (live or dead).
         self.ctx.len()
     }
 
-    /// Optimal delta, specialized: live parts the peer hasn't heard of,
-    /// plus dead parts the peer hasn't heard of or still believes live.
+    /// Optimal delta, specialized (equivalent to the generic
+    /// decomposition fold, without materializing any part): live parts
+    /// the peer hasn't heard of, plus dead parts the peer either hasn't
+    /// heard of or still believes live.
     fn delta(&self, other: &Self) -> Self {
-        let mut d = Self::new();
-        self.store.for_each_part(&mut |dot, part| {
-            if !other.ctx.contains(&dot) {
-                let self_ctx = d.ctx.clone();
-                let part_ctx = CausalContext::singleton(dot);
-                d.store.join(&self_ctx, &part, &part_ctx);
-                d.ctx.insert(dot);
+        // A part of either kind is news iff its dot is outside the
+        // peer's context ...
+        let store = self.store.outside(&other.ctx);
+        let mut ctx = self.ctx.difference(&other.ctx);
+        // ... and a dead part is also news while the peer holds it live.
+        other.store.for_each_dot_not_in(&self.store, &mut |d| {
+            if self.ctx.contains(&d) {
+                ctx.insert(d);
             }
         });
-        for dot in self.ctx.iter() {
-            if !self.store.contains_dot(&dot)
-                && (!other.ctx.contains(&dot) || other.store.contains_dot(&dot))
-            {
-                d.ctx.insert(dot);
-            }
+        Causal {
+            store,
+            ctx,
+            tag: StateTag::fresh(),
         }
-        d.tag = StateTag::fresh();
-        d
     }
 
     fn is_irreducible(&self) -> bool {
@@ -826,13 +908,13 @@ impl<S: DotStore> Decompose for Causal<S> {
     }
 }
 
-impl<S: DotStore> StateSize for Causal<S> {
+impl<S: DotStore + Sizeable> StateSize for Causal<S> {
     fn count_elements(&self) -> u64 {
         self.ctx.len()
     }
 
     fn size_bytes(&self, model: &SizeModel) -> u64 {
-        self.store.size_bytes(model) + self.ctx.size_bytes(model)
+        self.store.payload_bytes(model) + self.ctx.size_bytes(model)
     }
 }
 
@@ -882,29 +964,25 @@ impl<K: Ord + Clone + Debug + Sizeable, V: Clone + Debug + Eq + Sizeable> ORMap<
     /// `k`. Returns the optimal delta.
     #[must_use = "the returned delta must be buffered for synchronization"]
     pub fn put(&mut self, replica: ReplicaId, k: K, v: V) -> Self {
-        let kill: BTreeSet<Dot> = self.key_dots(&k);
-        ORMap(self.0.mutate(
-            Some(replica),
-            |d| kill.contains(d),
-            |dot| DotMap::singleton(k.clone(), DotFun::singleton(dot, v)),
-        ))
+        let retired = self.0.retire(self.0.store.dots_under(&k));
+        ORMap(self.0.record(retired, replica, |store, dot| {
+            store.entry(k.clone()).insert(dot, v.clone())
+        }))
     }
 
     /// Remove every observed value of `k`. Returns the optimal delta
     /// (pure context — no tombstones).
     #[must_use = "the returned delta must be buffered for synchronization"]
     pub fn remove(&mut self, k: &K) -> Self {
-        let kill: BTreeSet<Dot> = self.key_dots(k);
-        ORMap(
-            self.0
-                .mutate(None, |d| kill.contains(d), |_| DotMap::default()),
-        )
+        let dead = self.0.store.dots_under(k);
+        ORMap(self.0.retire(dead))
     }
 
     /// Remove every observed entry. Returns the optimal delta.
     #[must_use = "the returned delta must be buffered for synchronization"]
     pub fn clear(&mut self) -> Self {
-        ORMap(self.0.mutate(None, |_| true, |_| DotMap::default()))
+        let dead = self.0.store.dots();
+        ORMap(self.0.retire(dead))
     }
 
     /// The concurrent values visible under `k` (empty if absent; more
@@ -935,16 +1013,6 @@ impl<K: Ord + Clone + Debug + Sizeable, V: Clone + Debug + Eq + Sizeable> ORMap<
     /// Is the map observably empty?
     pub fn is_empty(&self) -> bool {
         self.0.store.is_empty()
-    }
-
-    fn key_dots(&self, k: &K) -> BTreeSet<Dot> {
-        let mut dots = BTreeSet::new();
-        if let Some(f) = self.0.store.get(k) {
-            f.for_each_dot(&mut |d| {
-                dots.insert(d);
-            });
-        }
-        dots
     }
 }
 
@@ -1028,43 +1096,25 @@ impl<K: Ord + Clone + Debug + Sizeable, E: Ord + Clone + Debug + Sizeable> ORSet
     /// copies of `e` there). Returns the optimal delta.
     #[must_use = "the returned delta must be buffered for synchronization"]
     pub fn add(&mut self, replica: ReplicaId, k: K, e: E) -> Self {
-        let kill = self.elem_dots(&k, &e);
-        ORSetMap(self.0.mutate(
-            Some(replica),
-            |d| kill.contains(d),
-            |dot| {
-                DotMap::singleton(
-                    k.clone(),
-                    DotMap::singleton(e.clone(), DotSet::singleton(dot)),
-                )
-            },
-        ))
+        let retired = self.0.retire(self.elem_dots(&k, &e));
+        ORSetMap(self.0.record(retired, replica, |store, dot| {
+            store.entry(k.clone()).entry(e.clone()).insert(dot);
+        }))
     }
 
     /// Remove the observed copies of `e` under `k`. Returns the optimal
     /// delta.
     #[must_use = "the returned delta must be buffered for synchronization"]
     pub fn remove_elem(&mut self, k: &K, e: &E) -> Self {
-        let kill = self.elem_dots(k, e);
-        ORSetMap(
-            self.0
-                .mutate(None, |d| kill.contains(d), |_| DotMap::default()),
-        )
+        let dead = self.elem_dots(k, e);
+        ORSetMap(self.0.retire(dead))
     }
 
     /// Remove the observed entry under `k`. Returns the optimal delta.
     #[must_use = "the returned delta must be buffered for synchronization"]
     pub fn remove_key(&mut self, k: &K) -> Self {
-        let mut kill = BTreeSet::new();
-        if let Some(sets) = self.0.store.get(k) {
-            sets.for_each_dot(&mut |d| {
-                kill.insert(d);
-            });
-        }
-        ORSetMap(
-            self.0
-                .mutate(None, |d| kill.contains(d), |_| DotMap::default()),
-        )
+        let dead = self.0.store.dots_under(k);
+        ORSetMap(self.0.retire(dead))
     }
 
     /// The visible elements under `k`, in order.
@@ -1091,16 +1141,9 @@ impl<K: Ord + Clone + Debug + Sizeable, E: Ord + Clone + Debug + Sizeable> ORSet
         self.0.store.is_empty()
     }
 
-    fn elem_dots(&self, k: &K, e: &E) -> BTreeSet<Dot> {
-        let mut dots = BTreeSet::new();
-        if let Some(sets) = self.0.store.get(k) {
-            if let Some(ds) = sets.get(e) {
-                ds.for_each_dot(&mut |d| {
-                    dots.insert(d);
-                });
-            }
-        }
-        dots
+    fn elem_dots(&self, k: &K, e: &E) -> CausalContext {
+        let sets = self.0.store.get(k);
+        sets.map(|sets| sets.dots_under(e)).unwrap_or_default()
     }
 }
 
@@ -1179,17 +1222,10 @@ impl<E: Ord + Clone + Debug + Sizeable> RWSet<E> {
 
     /// Cast a vote for `e` at `replica`.
     fn vote(&mut self, replica: ReplicaId, e: E, present: bool) -> Self {
-        let mut kill = BTreeSet::new();
-        if let Some(votes) = self.0.store.get(&e) {
-            votes.for_each_dot(&mut |d| {
-                kill.insert(d);
-            });
-        }
-        RWSet(self.0.mutate(
-            Some(replica),
-            |d| kill.contains(d),
-            |dot| DotMap::singleton(e.clone(), DotFun::singleton(dot, present)),
-        ))
+        let retired = self.0.retire(self.0.store.dots_under(&e));
+        RWSet(self.0.record(retired, replica, |store, dot| {
+            store.entry(e.clone()).insert(dot, present)
+        }))
     }
 
     /// Add `e`, returning the optimal delta.
@@ -1297,11 +1333,11 @@ impl DWFlag {
     }
 
     fn vote(&mut self, replica: ReplicaId, enabled: bool) -> Self {
-        DWFlag(self.0.mutate(
-            Some(replica),
-            |_| true,
-            |dot| DotFun::singleton(dot, enabled),
-        ))
+        let retired = self.0.retire_where(|_, _| true);
+        DWFlag(
+            self.0
+                .record(retired, replica, |store, dot| store.insert(dot, enabled)),
+        )
     }
 
     /// Enable at `replica`, returning the optimal delta.
@@ -1400,7 +1436,7 @@ impl<V: WireEncode> WireEncode for DotFun<V> {
         for _ in 0..len {
             let d = Dot::decode(input)?;
             let v = V::decode(input)?;
-            f.insert_sorted(d, v);
+            f.insert(d, v);
         }
         Ok(f)
     }
@@ -1432,7 +1468,7 @@ impl<K: Ord + WireEncode, S: WireEncode> WireEncode for DotMap<K, S> {
 
 impl<S: WireEncode> Causal<S> {
     /// The structural (cache-bypassing) encoding: store, then context.
-    fn encode_structural(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode_structural(&self, out: &mut Vec<u8>) {
         self.store.encode(out);
         self.ctx.encode(out);
     }
@@ -1628,7 +1664,7 @@ mod tests {
         let a_ctx = CausalContext::singleton(Dot::new(A, 1));
         let b_store = DotSet::new();
         let b_ctx = CausalContext::singleton(Dot::new(A, 1));
-        assert!(a_store.join(&a_ctx, &b_store, &b_ctx));
+        assert!(a_store.join(&a_ctx, b_store, &b_ctx));
         assert!(a_store.is_empty(), "observed death wins");
 
         // Unseen news is adopted.
@@ -1636,8 +1672,8 @@ mod tests {
         let fresh_ctx = CausalContext::new();
         let news = DotSet::singleton(Dot::new(B, 1));
         let news_ctx = CausalContext::singleton(Dot::new(B, 1));
-        assert!(empty.join(&fresh_ctx, &news, &news_ctx));
-        assert!(empty.contains_dot(&Dot::new(B, 1)));
+        assert!(empty.join(&fresh_ctx, news, &news_ctx));
+        assert_eq!(empty, DotSet::singleton(Dot::new(B, 1)));
     }
 
     #[test]
@@ -1650,11 +1686,11 @@ mod tests {
         let y_ctx = CausalContext::singleton(d2);
 
         let mut xy = x.clone();
-        assert!(xy.join(&x_ctx, &y, &y_ctx));
+        assert!(xy.join(&x_ctx, y.clone(), &y_ctx));
         let mut yx = y.clone();
-        assert!(yx.join(&y_ctx, &x, &x_ctx));
+        assert!(yx.join(&y_ctx, x.clone(), &x_ctx));
         assert_eq!(xy, yx);
-        assert!(!x.join(&x_ctx, &x.clone(), &x_ctx), "idempotent");
+        assert!(!x.join(&x_ctx, x.clone(), &x_ctx), "idempotent");
     }
 
     #[test]
@@ -1665,7 +1701,7 @@ mod tests {
         // Peer saw the dot die.
         let peer: DotMap<&str, DotSet> = DotMap::new();
         let peer_ctx = CausalContext::singleton(d);
-        assert!(m.join(&ctx, &peer, &peer_ctx));
+        assert!(m.join(&ctx, peer, &peer_ctx));
         assert!(m.is_empty(), "key with no dots must disappear");
     }
 
@@ -1679,7 +1715,7 @@ mod tests {
         let ctx = CausalContext::singleton(d);
         let snapshot = m.clone();
         assert!(!m.join_would_change(&ctx, &snapshot, &ctx));
-        assert!(!m.join(&ctx, &snapshot, &ctx));
+        assert!(!m.join(&ctx, snapshot.clone(), &ctx));
         assert_eq!(m, snapshot);
     }
 

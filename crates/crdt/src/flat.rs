@@ -86,6 +86,15 @@ impl DotRuns {
         Self::default()
     }
 
+    /// Build from dots fed in ascending `(replica, seq)` order.
+    pub fn from_sorted(dots: impl Iterator<Item = Dot>) -> Self {
+        let mut runs = DotRuns::new();
+        for d in dots {
+            runs.push_dot_sorted(d);
+        }
+        runs
+    }
+
     /// The runs, sorted by `(replica, start)`.
     pub fn runs(&self) -> &[DotRun] {
         &self.runs

@@ -20,10 +20,11 @@
 //! | [`LexCounter`] | `I ↪ (ℕ ⋉ ℤ)` | Cassandra counters, Appendix B |
 //! | [`MVRegister`] | `M(VClock × V)` | maximal-elements composition |
 //!
-//! Causal (dot-store) CRDTs extend the catalog with removals: the flat
-//! implementations in [`causal`] ([`AWSet`], [`EWFlag`], [`CCounter`]) and
-//! the generic store algebra in [`dotstores`] ([`ORMap`], [`ORSetMap`],
-//! [`RWSet`], [`DWFlag`]).
+//! Causal (dot-store) CRDTs extend the catalog with removals. All seven
+//! are newtypes over one lattice, [`Causal`]`<S>` — a [`DotStore`] `S`
+//! paired with a [`CausalContext`] ([`dotstores`]): [`AWSet`],
+//! [`EWFlag`], [`CCounter`] and [`DWFlag`] over a [`DotFun`], [`ORMap`],
+//! [`ORSetMap`] and [`RWSet`] over a nested [`DotMap`].
 //!
 //! ## Example
 //!
@@ -67,10 +68,10 @@ mod traits;
 mod twopset;
 mod wire_ops;
 
-pub use causal::{AWSet, AWSetOp, CCounter, CCounterOp, CausalContext, DotStore, EWFlag, EWFlagOp};
+pub use causal::{AWSet, AWSetOp, CCounter, CCounterOp, CausalContext, EWFlag, EWFlagOp};
 pub use dotstores::{
-    Causal, DWFlag, DWFlagOp, DotFun, DotMap, DotSet, ORMap, ORMapOp, ORSetMap, ORSetMapOp, RWSet,
-    RWSetOp,
+    Causal, DWFlag, DWFlagOp, DotFun, DotMap, DotSet, DotStore, ORMap, ORMapOp, ORSetMap,
+    ORSetMapOp, RWSet, RWSetOp,
 };
 pub use gcounter::{GCounter, GCounterOp};
 pub use gmap::{GMap, GMapOp};

@@ -6,21 +6,23 @@ pub struct StateTag {
     epoch: u64,
 }
 
-pub struct DotStore<V> {
-    store: Vec<V>,
+pub struct DotFun<V>(Vec<V>);
+
+pub struct Causal<S> {
+    store: S,
     tag: StateTag,
 }
 
-pub struct AWSet<E>(DotStore<E>);
+pub struct AWSet<E>(Causal<DotFun<E>>);
 
-impl<V> DotStore<V> {
-    pub fn mutate(&mut self, v: V) {
-        self.store.push(v);
+impl<S> Causal<S> {
+    pub fn mutate(&mut self, write: impl Fn(&mut S)) {
+        write(&mut self.store);
         self.tag.note_mutation();
     }
 
     pub fn join_assign(&mut self, other: Self) -> bool {
-        let changed = !other.store.is_empty();
+        let changed = other.tag.epoch != 0;
         if changed {
             self.tag = StateTag::fresh();
         }
@@ -28,14 +30,22 @@ impl<V> DotStore<V> {
     }
 }
 
+impl<V> Causal<DotFun<V>> {
+    /// A mutator on one store shape bumps like any other.
+    pub fn truncate(&mut self, keep: usize) {
+        self.store.0.truncate(keep);
+        self.tag.note_mutation();
+    }
+}
+
 impl<E> AWSet<E> {
     /// Bumps by delegation through `mutate`.
     pub fn add(&mut self, e: E) {
-        self.0.mutate(e);
+        self.0.mutate(|store| store.0.push(e));
     }
 
     // lint: allow(epoch) — capacity-only reshape; encoded bytes are identical
     pub fn shrink_to_fit(&mut self) {
-        self.0.store.shrink_to_fit();
+        self.0.store.0.shrink_to_fit();
     }
 }

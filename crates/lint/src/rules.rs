@@ -447,7 +447,7 @@ pub fn check_lock_rank(f: &SourceFile, scope: Scope, out: &mut Vec<Diagnostic>) 
 /// dotstores.rs; struct definitions and delegation cross those files).
 ///
 /// Checked types: structs carrying a `StateTag` field, structs wrapping
-/// one (transitively, e.g. `AWSet(DotStore<E>)`), and the component
+/// one (transitively, e.g. `AWSet(Causal<DotFun<E>>)`), and the component
 /// structs a tagged struct is built from (e.g. `CausalContext`,
 /// `DotRuns` — these own no tag, so every mutator must carry an
 /// explicit allowlist note naming who bumps for them).
@@ -867,16 +867,22 @@ fn temp_released_ok(inner: &Inner) {
             "crates/crdt/src/causal.rs",
             r#"
 pub struct StateTag { e: u64 }
-pub struct DotStore<V> { store: Vec<V>, tag: StateTag }
-pub struct AWSet<E>(DotStore<E>);
-impl<V> DotStore<V> {
+pub struct DotFun<V>(Vec<V>);
+pub struct Causal<S> { store: S, tag: StateTag }
+pub struct AWSet<E>(Causal<DotFun<E>>);
+impl<S> Causal<S> {
     pub fn mutate(&mut self) { self.tag.note_mutation(); }
-    pub fn silent_clear(&mut self) { self.store.clear(); }
+}
+impl<V> Causal<DotFun<V>> {
+    pub fn silent_clear(&mut self) { self.store.0.clear(); }
+}
+impl<V> DotFun<V> {
+    pub fn insert(&mut self, v: V) { self.0.push(v); }
 }
 impl<E> AWSet<E> {
     pub fn add(&mut self, e: E) { self.0.mutate(); }
     // lint: allow(epoch) — read-only rebuild, frames unaffected
-    pub fn shrink(&mut self) { self.0.store.shrink_to_fit(); }
+    pub fn shrink(&mut self) { self.0.store.0.shrink_to_fit(); }
 }
 "#,
         );

@@ -544,11 +544,11 @@ mod tests {
 
     #[test]
     fn fn_extraction_with_receiver_and_impl() {
-        let f = sf("impl<V: Clone> WireEncode for DotStore<V> {\n  fn decode(input: &mut &[u8]) -> Result<Self, E> { body() }\n  pub fn bump(&mut self) { self.tag.note_mutation(); }\n}\n");
+        let f = sf("impl<S: WireEncode> WireEncode for Causal<S> {\n  fn decode(input: &mut &[u8]) -> Result<Self, E> { body() }\n  pub fn bump(&mut self) { self.tag.note_mutation(); }\n}\n");
         assert_eq!(f.fns.len(), 2);
         let d = &f.fns[0];
         assert_eq!(d.name, "decode");
-        assert_eq!(d.impl_type.as_deref(), Some("DotStore"));
+        assert_eq!(d.impl_type.as_deref(), Some("Causal"));
         assert!(d.in_trait_impl);
         assert!(!d.mut_self, "`&mut &[u8]` param is not a receiver");
         let b = &f.fns[1];
@@ -558,7 +558,7 @@ mod tests {
 
     #[test]
     fn inherent_impl_type() {
-        let f = sf("impl Causal<S> { pub(crate) fn mutate(&mut self) { x() } }");
+        let f = sf("impl<V> Causal<DotFun<V>> { pub(crate) fn mutate(&mut self) { x() } }");
         assert_eq!(f.fns[0].impl_type.as_deref(), Some("Causal"));
         assert!(!f.fns[0].in_trait_impl);
         assert!(f.fns[0].is_pub);
@@ -577,10 +577,10 @@ mod tests {
 
     #[test]
     fn struct_fields() {
-        let f = sf("pub struct DotStore<V> { store: Vec<(Dot, V)>, tag: StateTag }\npub struct AWSet<E: Ord>(DotStore<E>);\n");
+        let f = sf("pub struct Causal<S> { store: S, ctx: CausalContext, tag: StateTag }\npub struct AWSet<E: Ord>(Causal<DotFun<E>>);\n");
         assert_eq!(f.structs.len(), 2);
         assert!(f.structs[0].field_idents.iter().any(|s| s == "StateTag"));
-        assert!(f.structs[1].field_idents.iter().any(|s| s == "DotStore"));
+        assert!(f.structs[1].field_idents.iter().any(|s| s == "Causal"));
     }
 
     #[test]

@@ -9,25 +9,30 @@ pub struct ProptestConfig {
     pub cases: u32,
 }
 
+/// The `PROPTEST_CASES` environment variable, if set to a number.
+fn env_cases() -> Option<u32> {
+    std::env::var("PROPTEST_CASES").ok()?.parse().ok()
+}
+
 impl ProptestConfig {
-    /// A config running `cases` inputs.
+    /// A config running `cases` inputs. Unlike real proptest the count
+    /// is a floor: `PROPTEST_CASES` raises it (never lowers it), so a CI
+    /// sweep reaches suites that pin a small, fast count.
     pub fn with_cases(cases: u32) -> Self {
-        ProptestConfig { cases }
+        ProptestConfig {
+            cases: env_cases().map_or(cases, |env| env.max(cases)),
+        }
     }
 }
 
 impl Default for ProptestConfig {
     fn default() -> Self {
-        // Real proptest defaults to 256; the shim favors fast CI. Tests
-        // that want more pass an explicit config — and, matching real
-        // proptest, the `PROPTEST_CASES` environment variable overrides
-        // the default so CI can run robustness sweeps at a raised case
-        // count without recompiling.
-        let cases = std::env::var("PROPTEST_CASES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(64);
-        ProptestConfig { cases }
+        // Real proptest defaults to 256; the shim favors fast CI. As in
+        // real proptest, `PROPTEST_CASES` overrides the default so CI
+        // can run robustness sweeps without recompiling.
+        ProptestConfig {
+            cases: env_cases().unwrap_or(64),
+        }
     }
 }
 
